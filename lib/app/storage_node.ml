@@ -26,9 +26,10 @@ let write_file s path data =
   match U.openf s ~create:true path with
   | Error e -> Error e
   | Ok fd -> (
-      (* Truncate-by-recreate is not available; overwrite then the reader
-         uses the crc sidecar length to validate. We emulate truncation by
-         deleting and recreating. *)
+      (* The syscall ABI has no truncate, so replace the contents by
+         unlinking and recreating the file: the first open (creating it
+         if absent) makes the unlink succeed, then a fresh file receives
+         [data], leaving no tail of a longer old value behind. *)
       ignore (U.close s fd);
       match U.unlink s path with
       | Error e -> Error e

@@ -20,7 +20,15 @@ let dirents_per_block = bs / dirent_size
 
 let sb_magic = 0x62694653l (* "biFS" *)
 
-type t = { dev : Block_dev.t; wal : Wal.t; ndata : int }
+type t = {
+  dev : Block_dev.t;
+  wal : Wal.t;
+  ndata : int;
+  names : (string, int) Hashtbl.t;
+      (* path -> inode of every successful [resolve] since the last
+         namespace change; cleared by create/mkdir/unlink/rmdir/rename *)
+  mutant_stale_rename : bool;
+}
 
 type error =
   | Not_found
@@ -221,48 +229,78 @@ let dirent_name b off =
   | Some i -> String.sub raw 0 i
   | None -> raw
 
-let dir_iter t txn dino f =
-  (* Iterate (slot_index, name, ino) over all allocated entries. *)
+(* [dirent_name b off = name], compared in place without building the
+   entry's name. *)
+let dirent_is b off name =
+  let n = String.length name in
+  let max = dirent_size - 4 in
+  let rec same i = i >= n || (Bytes.get b (off + 4 + i) = name.[i] && same (i + 1)) in
+  n <= max && same 0 && (n = max || Bytes.get b (off + 4 + n) = '\000')
+
+(* [block_map txn ino i] is the physical block backing file block [i] of
+   the already-decoded [ino], or 0 for a hole; it never allocates and
+   reads the indirect block at most once. *)
+let block_map txn (ino : inode) =
+  let indirect = lazy (Wal.txn_read txn ino.indirect) in
+  fun i ->
+    if i < ndirect then ino.direct.(i)
+    else if ino.indirect = 0 then 0
+    else Int32.to_int (Bytes.get_int32_le (Lazy.force indirect) (4 * (i - ndirect)))
+
+(* Scan the entry slots of the decoded directory inode [ino] in slot
+   order, calling [f slot b off e_ino] with the slot's block contents [b],
+   byte offset [off] and inode number ([0] for a free slot); stop at the
+   first slot for which [f] returns [true] and return
+   [Some (slot, phys, e_ino)].  Holes are skipped. *)
+let dir_scan_inode txn (ino : inode) f =
+  let nblocks = (ino.isize + bs - 1) / bs in
+  let block_of = block_map txn ino in
+  let rec blocks bi =
+    if bi >= nblocks then None
+    else
+      match block_of bi with
+      | 0 -> blocks (bi + 1)
+      | phys ->
+          let b = Wal.txn_read txn phys in
+          let upper = min dirents_per_block ((ino.isize - (bi * bs)) / dirent_size) in
+          let rec slots s =
+            if s >= upper then blocks (bi + 1)
+            else begin
+              let off = s * dirent_size in
+              let e_ino = Int32.to_int (Bytes.get_int32_le b off) in
+              let slot = (bi * dirents_per_block) + s in
+              if f slot b off e_ino then Some (slot, phys, e_ino) else slots (s + 1)
+            end
+          in
+          slots 0
+  in
+  blocks 0
+
+(* [dir_scan_inode] on directory [dino], whose inode is read once. *)
+let dir_scan txn dino f =
   match get_inode txn dino with
   | None -> Error Not_found
   | Some ino when ino.ikind <> Dir -> Error Not_dir
-  | Some ino ->
-      let nblocks = (ino.isize + bs - 1) / bs in
-      let rec blocks bi =
-        if bi >= nblocks then Ok ()
-        else begin
-          match file_block t txn dino bi ~alloc:false with
-          | Error e -> Error e
-          | Ok 0 -> blocks (bi + 1)
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              let upper =
-                min dirents_per_block ((ino.isize - (bi * bs)) / dirent_size)
-              in
-              for s = 0 to upper - 1 do
-                let off = s * dirent_size in
-                let e_ino = Int32.to_int (Bytes.get_int32_le b off) in
-                if e_ino <> 0 then
-                  f ((bi * dirents_per_block) + s) (dirent_name b off) e_ino
-              done;
-              blocks (bi + 1)
-        end
-      in
-      blocks 0
+  | Some ino -> Ok (dir_scan_inode txn ino f)
 
-let dir_lookup t txn dino name =
-  let found = ref None in
+let dir_find txn dino name =
+  dir_scan txn dino (fun _ b off e_ino -> e_ino <> 0 && dirent_is b off name)
+
+let dir_lookup txn dino name =
+  match dir_find txn dino name with
+  | Error e -> Error e
+  | Ok None -> Ok None
+  | Ok (Some (_, _, ino)) -> Ok (Some ino)
+
+let dir_entries txn dino =
+  let acc = ref [] in
   match
-    dir_iter t txn dino (fun _ n ino -> if n = name then found := Some ino)
+    dir_scan txn dino (fun _ b off ino ->
+        if ino <> 0 then acc := (dirent_name b off, ino) :: !acc;
+        false)
   with
   | Error e -> Error e
-  | Ok () -> Ok !found
-
-let dir_entries t txn dino =
-  let acc = ref [] in
-  match dir_iter t txn dino (fun _ n ino -> acc := (n, ino) :: !acc) with
-  | Error e -> Error e
-  | Ok () -> Ok (List.sort compare !acc)
+  | Ok _ -> Ok (List.sort compare !acc)
 
 let write_dirent b off name ino =
   Bytes.fill b off dirent_size '\000';
@@ -275,31 +313,15 @@ let dir_add t txn dino name ino =
   | Some di when di.ikind <> Dir -> Error Not_dir
   | Some di -> (
       (* Reuse a freed slot if one exists within the current size. *)
-      let free_slot = ref None in
-      let nslots = di.isize / dirent_size in
-      let rec scan slot =
-        if slot >= nslots || !free_slot <> None then ()
-        else begin
-          let bi = slot / dirents_per_block in
-          match file_block t txn dino bi ~alloc:false with
-          | Error _ | Ok 0 -> scan ((bi + 1) * dirents_per_block)
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              let off = slot mod dirents_per_block * dirent_size in
-              if Bytes.get_int32_le b off = 0l then free_slot := Some (slot, phys)
-              else scan (slot + 1)
-        end
-      in
-      scan 0;
-      match !free_slot with
-      | Some (slot, phys) ->
+      match dir_scan_inode txn di (fun _ _ _ e_ino -> e_ino = 0) with
+      | Some (slot, phys, _) ->
           let b = Wal.txn_read txn phys in
           write_dirent b (slot mod dirents_per_block * dirent_size) name ino;
           Wal.txn_write txn phys b;
           Ok ()
       | None -> (
           (* Append a new slot at the end. *)
-          let slot = nslots in
+          let slot = di.isize / dirent_size in
           let bi = slot / dirents_per_block in
           if bi >= max_file_blocks then Error No_space
           else begin
@@ -318,57 +340,58 @@ let dir_add t txn dino name ino =
                 Ok ()
           end))
 
-let dir_remove t txn dino name =
-  let slot_found = ref None in
-  match
-    dir_iter t txn dino (fun slot n _ ->
-        if n = name then slot_found := Some slot)
-  with
+let dir_remove txn dino name =
+  match dir_find txn dino name with
   | Error e -> Error e
-  | Ok () -> (
-      match !slot_found with
-      | None -> Error Not_found
-      | Some slot -> (
-          let bi = slot / dirents_per_block in
-          match file_block t txn dino bi ~alloc:false with
-          | Error e -> Error e
-          | Ok 0 -> Error Not_found
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              Bytes.fill b (slot mod dirents_per_block * dirent_size)
-                dirent_size '\000';
-              Wal.txn_write txn phys b;
-              Ok ()))
+  | Ok None -> Error Not_found
+  | Ok (Some (slot, phys, _)) ->
+      let b = Wal.txn_read txn phys in
+      Bytes.fill b (slot mod dirents_per_block * dirent_size) dirent_size '\000';
+      Wal.txn_write txn phys b;
+      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution                                                     *)
 
-let resolve_in_txn t txn path =
+let resolve_in_txn txn path =
   match Path.split path with
   | Error () -> Error Invalid_path
   | Ok parts ->
       let rec walk ino = function
         | [] -> Ok ino
         | name :: rest -> (
-            match dir_lookup t txn ino name with
+            match dir_lookup txn ino name with
             | Error e -> Error e
             | Ok None -> Error Not_found
             | Ok (Some child) -> walk child rest)
       in
       walk root_ino parts
 
-let resolve_parent t txn path =
+let resolve_parent txn path =
   match Path.dirname_basename path with
   | Error () -> Error Invalid_path
   | Ok (parents, name) -> (
-      match resolve_in_txn t txn (Path.join parents) with
+      match resolve_in_txn txn (Path.join parents) with
       | Error e -> Error e
       | Ok dino -> Ok (dino, name))
 
 (* ------------------------------------------------------------------ *)
 (* Top-level operations                                                *)
 
-let mkfs dev =
+let attach ?(mutant_stale_rename = false) dev ~ndata =
+  let t =
+    {
+      dev;
+      wal = Wal.create dev ~header_block:wal_header;
+      ndata;
+      names = Hashtbl.create 64;
+      mutant_stale_rename;
+    }
+  in
+  ignore (Wal.recover t.wal : int);
+  t
+
+let mkfs ?mutant_stale_rename dev =
   if Block_dev.blocks dev < data_start + 16 then
     invalid_arg "Fs.mkfs: device too small";
   let ndata = min (Block_dev.blocks dev - data_start) (bs * 8) in
@@ -381,8 +404,7 @@ let mkfs dev =
   for i = 0 to itable_blocks - 1 do
     Block_dev.write dev (itable_start + i) (Bytes.make bs '\000')
   done;
-  let t = { dev; wal = Wal.create dev ~header_block:wal_header; ndata } in
-  ignore (Wal.recover t.wal : int);
+  let t = attach ?mutant_stale_rename dev ~ndata in
   (* Root directory. *)
   let txn = Wal.begin_txn t.wal in
   let b = Wal.txn_read txn ibmap_block in
@@ -397,10 +419,7 @@ let mount dev =
   let sb = Block_dev.read dev sb_block in
   if Bytes.get_int32_le sb 0 <> sb_magic then
     invalid_arg "Fs.mount: bad superblock";
-  let ndata = Int32.to_int (Bytes.get_int32_le sb 4) in
-  let t = { dev; wal = Wal.create dev ~header_block:wal_header; ndata } in
-  ignore (Wal.recover t.wal : int);
-  t
+  attach dev ~ndata:(Int32.to_int (Bytes.get_int32_le sb 4))
 
 (* Run [f] in a transaction; commit on [Ok], abort on [Error]. *)
 let transact t f =
@@ -416,12 +435,16 @@ let transact t f =
       Wal.abort txn;
       raise e
 
+(* Every call that can change what a path resolves to starts here. *)
+let forget_names t = Hashtbl.clear t.names
+
 let create_node t path kind =
+  forget_names t;
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok (Some _) -> Error Exists
           | Ok None -> (
@@ -450,11 +473,12 @@ let free_file_blocks t txn ino_num (ino : inode) =
   ignore ino_num
 
 let unlink t path =
+  forget_names t;
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -462,7 +486,7 @@ let unlink t path =
               | None -> Error Not_found
               | Some ino when ino.ikind = Dir -> Error Is_dir
               | Some ino -> (
-                  match dir_remove t txn dino name with
+                  match dir_remove txn dino name with
                   | Error e -> Error e
                   | Ok () ->
                       free_file_blocks t txn ino_num ino;
@@ -471,11 +495,12 @@ let unlink t path =
                       Ok ()))))
 
 let rmdir t path =
+  forget_names t;
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -483,11 +508,11 @@ let rmdir t path =
               | None -> Error Not_found
               | Some ino when ino.ikind <> Dir -> Error Not_dir
               | Some ino -> (
-                  match dir_entries t txn ino_num with
+                  match dir_entries txn ino_num with
                   | Error e -> Error e
                   | Ok (_ :: _) -> Error Not_empty
                   | Ok [] -> (
-                      match dir_remove t txn dino name with
+                      match dir_remove txn dino name with
                       | Error e -> Error e
                       | Ok () ->
                           free_file_blocks t txn ino_num ino;
@@ -496,12 +521,13 @@ let rmdir t path =
                           Ok ())))))
 
 let rename t ~src ~dst =
+  if not t.mutant_stale_rename then forget_names t;
   transact t (fun txn ->
-      match (resolve_parent t txn src, resolve_parent t txn dst) with
+      match (resolve_parent txn src, resolve_parent txn dst) with
       | Error e, _ -> Error e
       | _, Error e -> Error e
       | Ok (sdir, sname), Ok (ddir, dname) -> (
-          match dir_lookup t txn sdir sname with
+          match dir_lookup txn sdir sname with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino) -> (
@@ -509,7 +535,7 @@ let rename t ~src ~dst =
               | None -> Error Not_found
               | Some i when i.ikind = Dir -> Error Is_dir
               | Some _ -> (
-                  match dir_lookup t txn ddir dname with
+                  match dir_lookup txn ddir dname with
                   | Error e -> Error e
                   | Ok (Some _) -> Error Exists
                   | Ok None -> (
@@ -519,14 +545,14 @@ let rename t ~src ~dst =
                          or neither. *)
                       match dir_add t txn ddir dname ino with
                       | Error e -> Error e
-                      | Ok () -> dir_remove t txn sdir sname)))))
+                      | Ok () -> dir_remove txn sdir sname)))))
 
 let readdir t path =
   transact t (fun txn ->
-      match resolve_in_txn t txn path with
+      match resolve_in_txn txn path with
       | Error e -> Error e
       | Ok ino -> (
-          match dir_entries t txn ino with
+          match dir_entries txn ino with
           | Error e -> Error e
           | Ok entries -> Ok (List.map fst entries)))
 
@@ -540,15 +566,20 @@ let stat_of t txn ino_num =
       let size = match ino.ikind with Dir -> 0 | File -> ino.isize in
       Ok { kind = ino.ikind; size; ino = ino_num }
 
-let stat t path =
-  transact t (fun txn ->
-      match resolve_in_txn t txn path with
-      | Error e -> Error e
-      | Ok ino -> stat_of t txn ino)
-
-let resolve t path = transact t (fun txn -> resolve_in_txn t txn path)
+let resolve t path =
+  match Hashtbl.find_opt t.names path with
+  | Some ino -> Ok ino
+  | None -> (
+      match transact t (fun txn -> resolve_in_txn txn path) with
+      | Ok ino as ok ->
+          Hashtbl.replace t.names path ino;
+          ok
+      | Error _ as e -> e)
 
 let stat_ino t ino = transact t (fun txn -> stat_of t txn ino)
+
+let stat t path =
+  match resolve t path with Error e -> Error e | Ok ino -> stat_ino t ino
 
 let read_ino t ~ino ~off ~len =
   if off < 0 || len < 0 then Error Invalid_path
@@ -560,6 +591,7 @@ let read_ino t ~ino ~off ~len =
         | Some inode ->
             let len = max 0 (min len (inode.isize - off)) in
             let out = Bytes.make len '\000' in
+            let block_of = block_map txn inode in
             let rec copy pos =
               if pos >= len then Ok out
               else begin
@@ -567,10 +599,9 @@ let read_ino t ~ino ~off ~len =
                 let bi = file_off / bs in
                 let boff = file_off mod bs in
                 let n = min (bs - boff) (len - pos) in
-                match file_block t txn ino bi ~alloc:false with
-                | Error e -> Error e
-                | Ok 0 -> copy (pos + n) (* hole reads as zeros *)
-                | Ok phys ->
+                match block_of bi with
+                | 0 -> copy (pos + n) (* hole reads as zeros *)
+                | phys ->
                     let b = Wal.txn_read txn phys in
                     Bytes.blit b boff out pos n;
                     copy (pos + n)

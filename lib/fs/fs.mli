@@ -18,7 +18,24 @@
     entries (u32 inode number + 27-byte name).  Every metadata mutation is
     one {!Wal} transaction, so any crash leaves the filesystem in a state
     that {!mount}'s recovery makes consistent — the property the crash VCs
-    in the test suite enumerate write-by-write. *)
+    in the test suite enumerate write-by-write.
+
+    {b Name cache.}  A handle keeps an exact table from path to inode
+    number, filled by every successful {!resolve} (and so by {!stat})
+    and consulted before the directories are scanned; failed lookups
+    are not kept.  Only {!create}, {!mkdir}, {!unlink}, {!rmdir} and
+    {!rename} can change what a path resolves to — directories cannot be
+    renamed and [rmdir] requires an empty directory — so each of them
+    clears the whole table before it runs.  {!mkfs} and {!mount} start
+    with an empty table.  The cache only removes block reads: the
+    device sees the same writes and flushes, in the same order, as
+    without it.
+
+    {b One live handle per device.}  The table is private to a handle,
+    so namespace changes must go through the one live handle of a
+    device: a second handle on the same device would keep serving
+    names the first one has since removed.  Mount again only after the
+    old handle is no longer used (after a crash, for instance). *)
 
 type t
 
@@ -40,9 +57,11 @@ val pp_error : Format.formatter -> error -> unit
 
 val max_file_size : int
 
-val mkfs : Block_dev.t -> t
+val mkfs : ?mutant_stale_rename:bool -> Block_dev.t -> t
 (** Format the device and return a mounted filesystem with an empty
-    root directory. *)
+    root directory.  [mutant_stale_rename] (default [false]) is a
+    mutation-self-check knob: the handle's {!rename} skips clearing the
+    name cache, the bug the [fs/names] cache-parity VC must catch. *)
 
 val mount : Block_dev.t -> t
 (** Attach to a formatted device, running log recovery.  Raises
@@ -69,9 +88,12 @@ val readdir : t -> string -> (string list, error) result
 (** Entry names, sorted. *)
 
 val stat : t -> string -> (stat, error) result
+(** {!resolve} then {!stat_ino}. *)
 
 val resolve : t -> string -> (int, error) result
-(** Path to inode number (the filesystem's "open"). *)
+(** Path to inode number (the filesystem's "open"), served from the
+    name cache when the path was resolved since the last namespace
+    change. *)
 
 val stat_ino : t -> int -> (stat, error) result
 

@@ -257,13 +257,18 @@ let gen_op g (_ : Fs_spec.state) =
   | r when r < 95 -> Fs_spec.Rename (file g, file g)
   | _ -> Fs_spec.Truncate (file g, Gen.int g 3000)
 
+let random_seeds = 8
+let random_traces_per_seed = 2
+let random_steps = 30
+let random_id seed = Printf.sprintf "fs/trace/random/%02d" seed
+
 let random_trace_vcs () =
-  List.init 8 (fun seed ->
-      let id = Printf.sprintf "fs/trace/random/%02d" seed in
+  List.init random_seeds (fun seed ->
+      let id = random_id seed in
       Vc.make ~id ~category:"fs/refinement" (fun () ->
           match
             R.check_random ~view ~make_impl:fresh_fs ~init:Fs_spec.empty
-              ~gen_op ~seed:id ~traces:2 ~steps:30
+              ~gen_op ~seed:id ~traces:random_traces_per_seed ~steps:random_steps
           with
           | Ok () -> Vc.Proved
           | Error f -> Vc.Falsified (Format.asprintf "%a" R.pp_failure f)))
@@ -409,4 +414,96 @@ let misc_vcs () =
             | Ok () | Error _ -> false));
   ]
 
-let vcs () = scripted_vcs () @ random_trace_vcs () @ crash_vcs () @ misc_vcs ()
+(* ------------------------------------------------------------------ *)
+(* Name cache                                                          *)
+
+(* Paths no trace below ever creates. *)
+let absent_paths = [ "/nope"; "/d0/nope"; "/f0/x" ]
+
+let spec_step spec op = match Fs_spec.step spec op with Some (s, _) -> s | None -> spec
+
+(* Run [ops] on a handle built by [make_fs] over a fresh device.  After
+   every step, the handle's warm resolve of every path the spec namespace
+   has held so far (so also paths since removed or renamed away), plus
+   [absent_paths], must equal a cold resolve on a fresh mount of the same
+   device. *)
+let cache_parity ~make_fs ops =
+  let dev = Block_dev.of_disk (Disk.create ~sectors:2048 ()) in
+  let fs = make_fs dev in
+  let rec go spec paths i = function
+    | [] -> Ok ()
+    | op :: rest -> (
+        ignore (Impl.step fs op : Fs_spec.ret);
+        let spec = spec_step spec op in
+        let paths =
+          List.sort_uniq compare (List.map fst (Fs_spec.entries spec) @ paths)
+        in
+        let cold = Fs.mount dev in
+        match
+          List.find_opt (fun p -> Fs.resolve fs p <> Fs.resolve cold p) ("/" :: paths)
+        with
+        | Some p ->
+            Error
+              (Format.asprintf "step %d (%a): warm and cold resolve of %s differ" i
+                 Fs_spec.pp_op op p)
+        | None -> go spec paths (i + 1) rest)
+  in
+  go Fs_spec.empty absent_paths 0 ops
+
+(* The op sequences of [random_trace_vcs], regenerated the way
+   [R.check_random] draws them. *)
+let random_traces () =
+  List.concat_map
+    (fun seed ->
+      List.init random_traces_per_seed (fun t ->
+          let g = Gen.of_string (Printf.sprintf "%s/%d" (random_id seed) t) in
+          let rec gen spec i acc =
+            if i >= random_steps then List.rev acc
+            else begin
+              let op = gen_op g spec in
+              gen (spec_step spec op) (i + 1) (op :: acc)
+            end
+          in
+          gen Fs_spec.empty 0 []))
+    (List.init random_seeds Fun.id)
+
+let rename_trace =
+  let open Fs_spec in
+  [
+    Create "/a";
+    Write { path = "/a"; off = 0; data = "one" };
+    Stat "/a";
+    Rename ("/a", "/b");
+    Stat "/b";
+    Unlink "/b";
+    Create "/b";
+    Mkdir "/d";
+    Create "/d/x";
+    Rename ("/d/x", "/a");
+    Rmdir "/d";
+    Mkdir "/d";
+    Unlink "/a";
+    Create "/a";
+    Rename ("/b", "/d/b");
+  ]
+
+let cache_parity_all ~make_fs =
+  List.fold_left
+    (fun acc ops -> match acc with Error _ -> acc | Ok () -> cache_parity ~make_fs ops)
+    (Ok ())
+    (rename_trace :: random_traces ())
+
+let names_vcs () =
+  [
+    Vc.make ~id:"fs/names/cache-parity" ~category:"fs/names" (fun () ->
+        match cache_parity_all ~make_fs:Fs.mkfs with
+        | Ok () -> Vc.Proved
+        | Error msg -> Vc.Falsified msg);
+    Vc.prop ~id:"fs/names/mutation-stale-rename" ~category:"fs/names" (fun () ->
+        (* A handle whose rename keeps the old name cached must be caught. *)
+        Result.is_error
+          (cache_parity_all ~make_fs:(Fs.mkfs ~mutant_stale_rename:true)));
+  ]
+
+let vcs () =
+  scripted_vcs () @ random_trace_vcs () @ crash_vcs () @ misc_vcs () @ names_vcs ()

@@ -356,6 +356,62 @@ let test_wal_recovery_idempotent_every_boundary () =
     (!boundaries > List.length ops)
 
 (* ------------------------------------------------------------------ *)
+(* The store's write stream *)
+
+(* The name cache and the in-place directory match may only remove block
+   reads, so the write/flush stream of a scripted store workload — 20
+   fresh puts, 20 overwrites, 20 gets through [Node_core.fs_store] — is
+   pinned: counts and a digest of every block written.  The WAL protocol,
+   the crash census and the fs crash VCs all describe this stream.  Gets
+   write nothing. *)
+let test_fs_store_write_stream () =
+  let module Nc = Bi_app.Node_core in
+  let dev = fresh_dev () in
+  ignore (Fs.mkfs dev : Fs.t);
+  let rdev, ops = Bi_fault.Crash_explore.record dev in
+  let store = Nc.fs_store (Fs.mount rdev) in
+  let key i = Printf.sprintf "k%02d" i in
+  let value i gen =
+    String.init (40 + (23 * i) + gen) (fun j -> Char.chr (97 + ((i + j + gen) mod 26)))
+  in
+  let put i gen =
+    let value = value i gen in
+    match store.save (key i) { Nc.value; crc = Bi_app.Protocol.crc32 value } with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "put %s: %a" (key i) Bi_app.Protocol.pp_err e
+  in
+  for i = 0 to 19 do put i 0 done;
+  for i = 0 to 19 do put i 1 done;
+  let before_gets = List.length (ops ()) in
+  for i = 0 to 19 do
+    match store.load (key i) with
+    | Ok (Some { Nc.value = v; _ }) -> check Alcotest.string (key i) (value i 1) v
+    | Ok None | Error _ -> Alcotest.failf "get %s" (key i)
+  done;
+  let stream = ops () in
+  let writes, flushes =
+    List.fold_left
+      (fun (w, f) -> function
+        | Bi_fault.Crash_explore.W _ -> (w + 1, f) | F -> (w, f + 1))
+      (0, 0) stream
+  in
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (function
+                 | Bi_fault.Crash_explore.W (blk, b) ->
+                     Printf.sprintf "w%d:%s" blk (Bytes.to_string b)
+                 | F -> "f")
+               stream)))
+  in
+  check Alcotest.int "gets add no device ops" before_gets (List.length stream);
+  check Alcotest.int "writes" 1968 writes;
+  check Alcotest.int "flushes" 804 flushes;
+  check Alcotest.string "stream digest" "7f119f855ccc67d7fce1de1ec486c256" digest
+
+(* ------------------------------------------------------------------ *)
 (* Random crash-recovery property over multi-op histories *)
 
 let prop_crash_recovery_consistent =
@@ -421,6 +477,8 @@ let () =
           Alcotest.test_case "many files + slot reuse" `Quick test_fs_many_files_in_dir;
           Alcotest.test_case "inode reuse" `Quick test_fs_inode_reuse_no_leak;
           Alcotest.test_case "sparse zeros" `Quick test_fs_sparse_read_zeros;
+          Alcotest.test_case "store write stream unchanged" `Quick
+            test_fs_store_write_stream;
         ] );
       ( "crash",
         [

@@ -136,6 +136,93 @@ let test_phys_mem_counters () =
   check Alcotest.int "loads" 2 (Phys_mem.loads m);
   check Alcotest.int "stores" 1 (Phys_mem.stores m)
 
+(* Memory is backed one frame at a time, on the first store. *)
+
+let test_phys_mem_untouched_zero () =
+  let m = Phys_mem.create ~size:(4 * 4096) in
+  check Alcotest.int "u8" 0 (Phys_mem.read_u8 m 5000L);
+  check Alcotest.int64 "u64" 0L (Phys_mem.read_u64 m 8192L);
+  check Alcotest.string "bytes" (String.make 6000 '\000')
+    (Bytes.to_string (Phys_mem.read_bytes m 1000L 6000));
+  (* A store to one frame leaves its neighbours reading as zeros. *)
+  Phys_mem.write_u8 m 4096L 0xFF;
+  check Alcotest.int "neighbour below" 0 (Phys_mem.read_u8 m 4095L);
+  check Alcotest.int64 "neighbour above" 0L (Phys_mem.read_u64 m 8192L)
+
+let test_phys_mem_cross_frame () =
+  let m = Phys_mem.create ~size:(3 * 4096) in
+  let data = Bytes.init 5000 (fun i -> Char.chr (i mod 251)) in
+  (* Spans the end of frame 0, all of frame 1 and the start of frame 2. *)
+  Phys_mem.write_bytes m 4000L data;
+  check Alcotest.string "roundtrip" (Bytes.to_string data)
+    (Bytes.to_string (Phys_mem.read_bytes m 4000L 5000));
+  check Alcotest.int "last byte of frame 0" (Char.code (Bytes.get data 95))
+    (Phys_mem.read_u8 m 4095L);
+  check Alcotest.int "first byte of frame 2" (Char.code (Bytes.get data 4192))
+    (Phys_mem.read_u8 m 8192L);
+  check Alcotest.int "before the region" 0 (Phys_mem.read_u8 m 3999L);
+  check Alcotest.int "after the region" 0 (Phys_mem.read_u8 m 9000L);
+  (* A read straddling written and untouched bytes. *)
+  let tail = Phys_mem.read_bytes m 8990L 20 in
+  check Alcotest.string "straddle"
+    (Bytes.sub_string data 4990 10 ^ String.make 10 '\000')
+    (Bytes.to_string tail)
+
+let test_phys_mem_zero_frame_lazy () =
+  let m = Phys_mem.create ~size:(2 * 4096) in
+  Phys_mem.write_bytes m 4096L (Bytes.make 4096 'x');
+  Phys_mem.reset_counters m;
+  Phys_mem.zero_frame m 4096L;
+  Phys_mem.zero_frame m 0L;
+  check Alcotest.int "512 stores per frame, touched or not" 1024 (Phys_mem.stores m);
+  check Alcotest.string "touched frame zeroed" (String.make 4096 '\000')
+    (Bytes.to_string (Phys_mem.read_bytes m 4096L 4096));
+  check Alcotest.string "untouched frame zero" (String.make 4096 '\000')
+    (Bytes.to_string (Phys_mem.read_bytes m 0L 4096));
+  (* The frame is usable again after zeroing. *)
+  Phys_mem.write_u64 m 4104L 7L;
+  check Alcotest.int64 "rewritten" 7L (Phys_mem.read_u64 m 4104L)
+
+let test_phys_mem_edges () =
+  let size = 2 * 4096 in
+  let m = Phys_mem.create ~size in
+  let last = Int64.of_int (size - 1) and last_word = Int64.of_int (size - 8) in
+  let expect_bad what f =
+    match f () with
+    | exception Phys_mem.Bad_address _ -> ()
+    | _ -> Alcotest.failf "%s: Bad_address expected" what
+  in
+  Phys_mem.write_u8 m last 0x5A;
+  check Alcotest.int "u8 at size-1" 0x5A (Phys_mem.read_u8 m last);
+  Phys_mem.write_u64 m last_word 9L;
+  check Alcotest.int64 "u64 at size-8" 9L (Phys_mem.read_u64 m last_word);
+  check Alcotest.int "bytes at size-1" 1 (Bytes.length (Phys_mem.read_bytes m last 1));
+  check Alcotest.int "empty read at size" 0
+    (Bytes.length (Phys_mem.read_bytes m (Int64.of_int size) 0));
+  expect_bad "u64 at size-1" (fun () -> Phys_mem.read_u64 m last);
+  expect_bad "bytes 2 at size-1" (fun () -> Phys_mem.read_bytes m last 2);
+  expect_bad "bytes 9 at size-8" (fun () -> Phys_mem.read_bytes m last_word 9);
+  expect_bad "write 9 at size-8" (fun () ->
+      Phys_mem.write_bytes m last_word (Bytes.make 9 'z'));
+  expect_bad "u8 at size" (fun () -> Phys_mem.read_u8 m (Int64.of_int size));
+  expect_bad "u64 at size" (fun () -> Phys_mem.write_u64 m (Int64.of_int size) 0L)
+
+let test_phys_mem_counter_formula () =
+  (* Words are counted per call, not per frame touched: one load or store
+     per u8/u64 access and ceil(len/8) per byte-region copy. *)
+  let m = Phys_mem.create ~size:(3 * 4096) in
+  let lens = [ 0; 1; 7; 8; 9; 4096; 5000 ] in
+  Phys_mem.reset_counters m;
+  List.iter (fun len -> Phys_mem.write_bytes m 4000L (Bytes.make len 'a')) lens;
+  List.iter (fun len -> ignore (Phys_mem.read_bytes m 4000L len)) lens;
+  Phys_mem.write_u8 m 4095L 1;
+  ignore (Phys_mem.read_u8 m 8191L);
+  Phys_mem.write_u64 m 8L 1L;
+  ignore (Phys_mem.read_u64 m 12280L);
+  let words = List.fold_left (fun acc len -> acc + ((len + 7) / 8)) 0 lens in
+  check Alcotest.int "loads" (words + 2) (Phys_mem.loads m);
+  check Alcotest.int "stores" (words + 2) (Phys_mem.stores m)
+
 (* ------------------------------------------------------------------ *)
 (* Frame_alloc *)
 
@@ -717,6 +804,12 @@ let () =
           Alcotest.test_case "huge addresses" `Quick test_phys_mem_huge_address;
           Alcotest.test_case "zero frame" `Quick test_phys_mem_zero_frame;
           Alcotest.test_case "counters" `Quick test_phys_mem_counters;
+          Alcotest.test_case "untouched reads zero" `Quick test_phys_mem_untouched_zero;
+          Alcotest.test_case "bytes across frames" `Quick test_phys_mem_cross_frame;
+          Alcotest.test_case "zero frame, touched or not" `Quick
+            test_phys_mem_zero_frame_lazy;
+          Alcotest.test_case "edges" `Quick test_phys_mem_edges;
+          Alcotest.test_case "counter formula" `Quick test_phys_mem_counter_formula;
         ] );
       ( "frame_alloc",
         [
