@@ -3,82 +3,13 @@ module RC = Resilient_client
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
-
-(* ================================================================== *)
-(* Virtual-time fiber scheduler                                        *)
-(*                                                                     *)
-(* Client fibers perform [Sleep] effects; the scheduler resumes them   *)
-(* in deterministic (time, spawn-order) order and advances the world   *)
-(* one round at a time between quiescent points.  Virtual time is the  *)
-(* only clock anywhere in the suite, so runs are replayable.           *)
-
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
+module Sim = World.Sim
+module Lin = World.Lin
 
 (* ================================================================== *)
 (* The simulated world: nodes behind faulty request/response channels  *)
-(*                                                                     *)
-(* Wire format: 4-byte request id, 4-byte CRC-32 over the whole frame  *)
-(* (the Ethernet-FCS role: any corruption anywhere in the frame makes  *)
-(* the frame undecodable and it is dropped, to be repaired by retry),  *)
-(* then the protocol body.                                             *)
 
-module World = struct
+module Net = struct
   type node = {
     name : string;
     store : Node_core.store;
@@ -93,12 +24,7 @@ module World = struct
     resp_ch : FL.channel;
   }
 
-  type t = {
-    sched : Sim.sched;
-    nodes : node array;
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
-  }
+  type t = { wire : World.wire; nodes : node array }
 
   let fresh_pool () = Bi_ulib.Ualloc.Pool.create ~size:65536 ()
 
@@ -120,12 +46,7 @@ module World = struct
     }
 
   let create sched nodes =
-    {
-      sched;
-      nodes = Array.of_list nodes;
-      pending = Hashtbl.create 64;
-      next_id = 1;
-    }
+    { wire = World.wire sched; nodes = Array.of_list nodes }
 
   let crash t i = t.nodes.(i).up <- false
 
@@ -154,100 +75,15 @@ module World = struct
               | None -> ()
               | Some resp_frame -> FL.send n.resp_ch resp_frame)
             reqs;
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step n.resp_ch))
+        World.deliver t.wire n.resp_ch)
       t.nodes
 
-  let endpoint t i ~attempt_timeout : RC.endpoint =
+  let endpoint t i ~attempt_timeout =
     let n = t.nodes.(i) in
-    {
-      RC.name = n.name;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send n.req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
-    }
+    World.endpoint t.wire ~name:n.name n.req_ch ~attempt_timeout
 
-  let clock t =
-    { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
+  let clock t = World.clock t.wire
 end
-
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
 
 (* ================================================================== *)
 (* Plans and configurations                                            *)
@@ -267,7 +103,7 @@ let rates_mixed =
     max_stall = 3 }
 
 let seeded_node ~tag ~i ~seed ~rates ~limit ?store () =
-  World.node
+  Net.node
     ~name:(Printf.sprintf "n%d" i)
     ?store
     ~req_plan:
@@ -278,21 +114,6 @@ let seeded_node ~tag ~i ~seed ~rates ~limit ?store () =
          ~limit ())
     ()
 
-(* A configuration for workloads that must complete: generous attempts,
-   a breaker that never trips (breaker VCs exercise it separately), and
-   fault plans whose budgets are bounded by [limit]. *)
-let patient_config seed =
-  {
-    RC.max_attempts = 10;
-    backoff_base = 2;
-    backoff_cap = 8;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
-    deadline = 2_000;
-    seed;
-  }
-
 let attempt_timeout = 10
 
 (* ================================================================== *)
@@ -301,15 +122,15 @@ let attempt_timeout = 10
 let scripted_world ~req ~resp =
   let s = Sim.make () in
   let node =
-    World.node ~name:"n0" ~req_plan:(FP.script req) ~resp_plan:(FP.script resp)
+    Net.node ~name:"n0" ~req_plan:(FP.script req) ~resp_plan:(FP.script resp)
       ()
   in
-  let w = World.create s [ node ] in
+  let w = Net.create s [ node ] in
   (s, w, node)
 
 let run_world s w fibers =
   List.iter (Sim.spawn s) fibers;
-  Sim.run ~tick:(fun () -> World.tick w) s
+  Sim.run ~tick:(fun () -> Net.tick w) s
 
 let put_req key value = P.Put { key; value; crc = P.crc32 value; txn = None }
 
@@ -317,7 +138,7 @@ let put_req key value = P.Put { key; value; crc = P.crc32 value; txn = None }
    victim.  True when the request was lost. *)
 let plain_loses decisions =
   let s, w, node = scripted_world ~req:decisions ~resp:[] in
-  let ep = World.endpoint w 0 ~attempt_timeout:20 in
+  let ep = Net.endpoint w 0 ~attempt_timeout:20 in
   let result = ref None in
   ignore
     (run_world s w [ (fun () -> result := Some (ep.RC.rpc (put_req "k" "v"))) ]);
@@ -326,13 +147,13 @@ let plain_loses decisions =
 
 let resilient_survives decisions =
   let s, w, node = scripted_world ~req:decisions ~resp:[] in
-  let ep = World.endpoint w 0 ~attempt_timeout in
+  let ep = Net.endpoint w 0 ~attempt_timeout in
   let client =
-    RC.create ~config:(patient_config 7) ~client:1 (World.clock w) ep
+    RC.create ~config:(World.patient_config 7) ~client:1 (Net.clock w) ep
   in
   let result = ref (Error RC.Breaker_open) in
   ignore (run_world s w [ (fun () -> result := RC.put client ~key:"k" ~value:"v") ]);
-  !result = Ok () && Node_core.applied node.World.core = 1
+  !result = Ok () && Node_core.applied node.Net.core = 1
 
 let positive_plan = [ FP.Drop; FP.Drop; FP.Stall 2; FP.Duplicate ]
 
@@ -356,7 +177,7 @@ let positive_control () =
    applied, dup_hits, retries). *)
 let scripted_retry ~req ~resp ~strip_txn =
   let s, w, node = scripted_world ~req ~resp in
-  let ep = World.endpoint w 0 ~attempt_timeout in
+  let ep = Net.endpoint w 0 ~attempt_timeout in
   let ep =
     if not strip_txn then ep
     else
@@ -375,13 +196,13 @@ let scripted_retry ~req ~resp ~strip_txn =
       }
   in
   let client =
-    RC.create ~config:(patient_config 11) ~client:1 (World.clock w) ep
+    RC.create ~config:(World.patient_config 11) ~client:1 (Net.clock w) ep
   in
   let result = ref (Error RC.Breaker_open) in
   ignore (run_world s w [ (fun () -> result := RC.put client ~key:"k" ~value:"v") ]);
   ( !result,
-    Node_core.applied node.World.core,
-    Node_core.dup_hits node.World.core,
+    Node_core.applied node.Net.core,
+    Node_core.dup_hits node.Net.core,
     (RC.stats client).RC.retries )
 
 (* ================================================================== *)
@@ -391,30 +212,15 @@ let scripted_retry ~req ~resp ~strip_txn =
    distinct key, so after the run [applied] must equal the number of
    keys materialised — any double-apply (or phantom apply of an unacked
    delete) breaks the equation. *)
-let exactly_once ~tag ~seed ~rates ~strip_txn =
+let exactly_once ~tag ~seed ~rates =
   let s = Sim.make () in
   let node = seeded_node ~tag ~i:0 ~seed ~rates ~limit:8 () in
-  let w = World.create s [ node ] in
-  let ep = World.endpoint w 0 ~attempt_timeout in
-  let ep =
-    if not strip_txn then ep
-    else
-      {
-        ep with
-        RC.rpc =
-          (fun r ->
-            let r =
-              match r with
-              | P.Put { key; value; crc; txn = _ } ->
-                  P.Put { key; value; crc; txn = None }
-              | P.Delete { key; txn = _ } -> P.Delete { key; txn = None }
-              | r -> r
-            in
-            ep.RC.rpc r);
-      }
-  in
+  let w = Net.create s [ node ] in
+  let ep = Net.endpoint w 0 ~attempt_timeout in
   let client =
-    RC.create ~config:(patient_config (seed + 13)) ~client:1 (World.clock w) ep
+    RC.create
+      ~config:(World.patient_config (seed + 13))
+      ~client:1 (Net.clock w) ep
   in
   let acks = ref 0 in
   let failures = ref 0 in
@@ -427,9 +233,17 @@ let exactly_once ~tag ~seed ~rates ~strip_txn =
     done
   in
   ignore (run_world s w [ fiber ]);
-  let stored = List.length (Node_core.mem_contents node.World.store) in
-  let applied = Node_core.applied node.World.core in
+  let stored = List.length (Node_core.mem_contents node.Net.store) in
+  let applied = Node_core.applied node.Net.core in
   (!acks, !failures, applied, stored)
+
+let set_ops set =
+  let err r = Result.map_error (Format.asprintf "%a" Replica_set.pp_error) r in
+  {
+    World.put = (fun ~key ~value -> err (Replica_set.put set ~key ~value));
+    get = (fun ~key -> err (Replica_set.get set ~key));
+    delete = (fun ~key -> err (Replica_set.delete set ~key));
+  }
 
 (* Linearizability workload: [procs] fibers over a two-key space against
    a replica set, with optional crash / crash+restart of node 0 driven
@@ -440,40 +254,24 @@ let lin_run ~tag ~seed ~rates ~replicas ~procs ~ops ?(crash = `No) () =
     List.init replicas (fun i ->
         seeded_node ~tag ~i ~seed:(seed + i) ~rates ~limit:6 ())
   in
-  let w = World.create s nodes in
+  let w = Net.create s nodes in
   let eps =
-    List.init replicas (fun i -> World.endpoint w i ~attempt_timeout)
+    List.init replicas (fun i -> Net.endpoint w i ~attempt_timeout)
   in
   let set =
     (* 14 attempts beat the worst-case combined fault budget of one
        node's two channels (2 × limit 6), so bounded adversaries can
        never exhaust a call. *)
     Replica_set.create
-      ~config:{ (patient_config (seed + 3)) with max_attempts = 14 }
-      ~client:1 (World.clock w) eps
+      ~config:{ (World.patient_config (seed + 3)) with max_attempts = 14 }
+      ~client:1 (Net.clock w) eps
   in
-  let rc = recorder () in
-  let value proc i = Printf.sprintf "v%d-%d" proc i in
+  let rc = World.recorder () in
   let fiber proc () =
     for i = 1 to ops do
       let key = if (i + proc) mod 2 = 0 then "a" else "b" in
-      (match (i + (2 * proc)) mod 4 with
-      | 0 | 1 ->
-          let v = value proc i in
-          record rc s proc (Spec.Put (key, v)) (fun () ->
-              match Replica_set.put set ~key ~value:v with
-              | Ok () -> Ok Spec.RUnit
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
-      | 2 ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match Replica_set.get set ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
-      | _ ->
-          record rc s proc (Spec.Del key) (fun () ->
-              match Replica_set.delete set ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e)));
+      World.lin_op rc ~now:(fun () -> Sim.now s) (set_ops set) ~proc ~i
+        ~deletes:true ~key ~value:(Printf.sprintf "v%d-%d" proc i);
       Sim.sleep (1 + ((proc + i) mod 3))
     done
   in
@@ -486,16 +284,16 @@ let lin_run ~tag ~seed ~rates ~replicas ~procs ~ops ?(crash = `No) () =
         @ [
             (fun () ->
               Sim.sleep at;
-              World.crash w 0);
+              Net.crash w 0);
           ]
     | `Crash_restart (at, down) ->
         fibers
         @ [
             (fun () ->
               Sim.sleep at;
-              World.crash w 0;
+              Net.crash w 0;
               Sim.sleep down;
-              World.restart w 0);
+              Net.restart w 0);
           ]
   in
   ignore (run_world s w fibers);
@@ -636,7 +434,7 @@ let deadline_sound seed =
   let node =
     (* Unbounded hostile plan: the deadline, not the fault budget, must
        end the call. *)
-    World.node ~name:"n0"
+    Net.node ~name:"n0"
       ~req_plan:
         (FP.seeded ~name:"rs/deadline/req" ~seed
            ~rates:{ FP.no_faults with drop = 800; stall = 150; max_stall = 6 }
@@ -647,8 +445,8 @@ let deadline_sound seed =
            ())
       ()
   in
-  let w = World.create s [ node ] in
-  let ep = World.endpoint w 0 ~attempt_timeout in
+  let w = Net.create s [ node ] in
+  let ep = Net.endpoint w 0 ~attempt_timeout in
   let cfg =
     {
       RC.max_attempts = 1_000;
@@ -661,16 +459,16 @@ let deadline_sound seed =
       seed;
     }
   in
-  let client = RC.create ~config:cfg ~client:1 (World.clock w) ep in
+  let client = RC.create ~config:cfg ~client:1 (Net.clock w) ep in
   let duration = ref max_int in
   let outcome = ref (Ok ()) in
   ignore
     (run_world s w
        [
          (fun () ->
-           let t0 = s.Sim.now in
+           let t0 = Sim.now s in
            outcome := RC.put client ~key:"k" ~value:"v";
-           duration := s.Sim.now - t0);
+           duration := Sim.now s - t0);
        ]);
   (* Backoff sleeps are clamped to the remaining budget, so the only
      thing that can outlive the deadline is the one attempt already in
@@ -688,78 +486,84 @@ let deadline_sound seed =
 let naive_failover_history () =
   let s, w, _ = scripted_world ~req:[] ~resp:[] in
   let backup =
-    World.node ~name:"n1" ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()
+    Net.node ~name:"n1" ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()
   in
   let w2 =
-    World.create s [ w.World.nodes.(0); backup ]
+    Net.create s [ w.Net.nodes.(0); backup ]
   in
-  let ep0 = World.endpoint w2 0 ~attempt_timeout in
-  let ep1 = World.endpoint w2 1 ~attempt_timeout in
-  let cfg = { (patient_config 5) with max_attempts = 2; deadline = 60 } in
-  let clock = World.clock w2 in
+  let ep0 = Net.endpoint w2 0 ~attempt_timeout in
+  let ep1 = Net.endpoint w2 1 ~attempt_timeout in
+  let cfg = { (World.patient_config 5) with max_attempts = 2; deadline = 60 } in
+  let clock = Net.clock w2 in
   let c0 = RC.create ~config:cfg ~client:1 clock ep0 in
   let c1 = RC.create ~config:cfg ~client:2 clock ep1 in
-  let rc = recorder () in
+  let rc = World.recorder () in
+  let now () = Sim.now s in
   let fiber () =
     (* Seed both replicas with v0 (a correct initial full write). *)
-    record rc s 1 (Spec.Put ("a", "v0")) (fun () ->
+    World.record rc ~now 1 (Store_spec.Put ("a", "v0")) (fun () ->
         match (RC.put c0 ~key:"a" ~value:"v0", RC.put c1 ~key:"a" ~value:"v0")
         with
-        | Ok (), Ok () -> Ok Spec.RUnit
+        | Ok (), Ok () -> Ok Store_spec.Done
         | _ -> Error "seed write failed");
     Sim.sleep 1;
     (* The bug: the next write reaches the primary only. *)
-    record rc s 1 (Spec.Put ("a", "v1")) (fun () ->
+    World.record rc ~now 1 (Store_spec.Put ("a", "v1")) (fun () ->
         match RC.put c0 ~key:"a" ~value:"v1" with
-        | Ok () -> Ok Spec.RUnit
+        | Ok () -> Ok Store_spec.Done
         | Error e -> Error (Format.asprintf "%a" RC.pp_error e));
     Sim.sleep 1;
-    World.crash w2 0;
+    Net.crash w2 0;
     (* Naive failover: primary dead, read the backup unfenced. *)
-    record rc s 1 (Spec.Get "a") (fun () ->
+    World.record rc ~now 1 (Store_spec.Get "a") (fun () ->
         match RC.get c0 ~key:"a" with
-        | Ok v -> Ok (Spec.RVal v)
+        | Ok v -> Ok (Store_spec.Value v)
         | Error _ -> (
             match RC.get c1 ~key:"a" with
-            | Ok v -> Ok (Spec.RVal v)
+            | Ok v -> Ok (Store_spec.Value v)
             | Error e -> Error (Format.asprintf "%a" RC.pp_error e)))
   in
   ignore (run_world s w2 [ fiber ]);
   rc
 
+(* Two fault-free replicas and their endpoints. *)
+let quiet_pair () =
+  let s = Sim.make () in
+  let w =
+    Net.create s
+      (List.init 2 (fun i ->
+           Net.node
+             ~name:(Printf.sprintf "n%d" i)
+             ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()))
+  in
+  (s, w, List.init 2 (fun i -> Net.endpoint w i ~attempt_timeout))
+
 (* The correct counterpart: the same crash through [Replica_set], whose
    write fan-out and fencing keep the history linearizable. *)
 let fenced_failover_history () =
-  let s = Sim.make () in
-  let nodes =
-    List.init 2 (fun i ->
-        World.node
-          ~name:(Printf.sprintf "n%d" i)
-          ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-  in
-  let w = World.create s nodes in
-  let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
+  let s, w, eps = quiet_pair () in
   let set =
     Replica_set.create
-      ~config:{ (patient_config 5) with max_attempts = 2; deadline = 60 }
-      ~client:1 (World.clock w) eps
+      ~config:{ (World.patient_config 5) with max_attempts = 2; deadline = 60 }
+      ~client:1 (Net.clock w) eps
   in
-  let rc = recorder () in
+  let rc = World.recorder () in
+  let now () = Sim.now s in
   let fiber () =
-    record rc s 1 (Spec.Put ("a", "v0")) (fun () ->
+    World.record rc ~now 1 (Store_spec.Put ("a", "v0")) (fun () ->
         match Replica_set.put set ~key:"a" ~value:"v0" with
-        | Ok () -> Ok Spec.RUnit
+        | Ok () -> Ok Store_spec.Done
         | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e));
     Sim.sleep 1;
-    record rc s 1 (Spec.Put ("a", "v1")) (fun () ->
+    World.record rc ~now 1 (Store_spec.Put ("a", "v1")) (fun () ->
         match Replica_set.put set ~key:"a" ~value:"v1" with
-        | Ok () -> Ok Spec.RUnit
+        | Ok () -> Ok Store_spec.Done
         | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e));
     Sim.sleep 1;
-    World.crash w 0;
-    record rc s 1 (Spec.Get "a") (fun () ->
+    Net.crash w 0;
+    World.record rc ~now 1 (Store_spec.Get "a") (fun () ->
         match Replica_set.get set ~key:"a" with
-        | Ok v -> Ok (Spec.RVal v)
+        | Ok v -> Ok (Store_spec.Value v)
         | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
   in
   ignore (run_world s w [ fiber ]);
@@ -1021,7 +825,10 @@ let node_vcs =
   ]
 
 let backoff_vcs =
-  let cfg seed = { (patient_config seed) with backoff_base = 3; backoff_cap = 40; jitter_pm = 2 } in
+  let cfg seed =
+    { (World.patient_config seed) with
+      backoff_base = 3; backoff_cap = 40; jitter_pm = 2 }
+  in
   [
     Vc.prop ~id:"rs/backoff/deterministic" ~category:cat_backoff
       (Vc.forall_range ~lo:1 ~hi:12 (fun a ->
@@ -1179,7 +986,7 @@ let exactly_once_vc ~family ~rates =
     ~category:cat_client
     (Vc.forall_list [ 1; 2; 3 ] (fun seed ->
          let acks, failures, applied, stored =
-           exactly_once ~tag:("eo-" ^ family) ~seed ~rates ~strip_txn:false
+           exactly_once ~tag:("eo-" ^ family) ~seed ~rates
          in
          (* Bounded budgets: everything completes; distinct keys: the
             store size counts distinct applies. *)
@@ -1197,7 +1004,7 @@ let lin_vc ~family ~rates ?(replicas = 1) ?crash () =
               lin_run ~tag:("lin-" ^ family) ~seed ~rates ~replicas ~procs:2
                 ~ops:5 ?crash ()
             in
-            rc.errors = [] && rc.calls <> [] && linearizable rc)
+            rc.errors = [] && rc.calls <> [] && World.linearizable rc)
           [ 1; 2 ]
       in
       Vc.outcome_of_bool ok)
@@ -1217,37 +1024,27 @@ let lin_vcs =
 let replica_vcs =
   [
     Vc.prop ~id:"rs/replica/fan-out" ~category:cat_replica (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
+        let s, w, eps = quiet_pair () in
+        let set =
+          Replica_set.create ~config:(World.patient_config 3) ~client:1
+            (Net.clock w) eps
         in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-        let set = Replica_set.create ~config:(patient_config 3) ~client:1 (World.clock w) eps in
         let ok = ref false in
         ignore
           (run_world s w
              [ (fun () -> ok := Replica_set.put set ~key:"k" ~value:"v" = Ok ()) ]);
-        let on n = Node_core.mem_contents n.World.store in
+        let on n = Node_core.mem_contents n.Net.store in
         !ok
-        && on w.World.nodes.(0) = [ ("k", "v") ]
-        && on w.World.nodes.(1) = [ ("k", "v") ]);
+        && on w.Net.nodes.(0) = [ ("k", "v") ]
+        && on w.Net.nodes.(1) = [ ("k", "v") ]);
     Vc.prop ~id:"rs/replica/crash-fences-and-fails-over" ~category:cat_replica
       (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-        in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
+        let s, w, eps = quiet_pair () in
         let set =
           Replica_set.create
-            ~config:{ (patient_config 3) with max_attempts = 2; deadline = 60 }
-            ~client:1 (World.clock w) eps
+            ~config:
+              { (World.patient_config 3) with max_attempts = 2; deadline = 60 }
+            ~client:1 (Net.clock w) eps
         in
         let ok = ref false in
         ignore
@@ -1255,7 +1052,7 @@ let replica_vcs =
              [
                (fun () ->
                  let w1 = Replica_set.put set ~key:"k" ~value:"v1" in
-                 World.crash w 0;
+                 Net.crash w 0;
                  (* The write fans out, n0 misses it → acked by n1 alone,
                     n0 fenced; the read must come from n1 (failover) and
                     see v2. *)
@@ -1270,18 +1067,12 @@ let replica_vcs =
         !ok);
     Vc.prop ~id:"rs/replica/epoch-fence-and-resync" ~category:cat_replica
       (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-        in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
+        let s, w, eps = quiet_pair () in
         let set =
           Replica_set.create
-            ~config:{ (patient_config 3) with max_attempts = 2; deadline = 60 }
-            ~client:1 (World.clock w) eps
+            ~config:
+              { (World.patient_config 3) with max_attempts = 2; deadline = 60 }
+            ~client:1 (Net.clock w) eps
         in
         let ok = ref false in
         ignore
@@ -1292,8 +1083,8 @@ let replica_vcs =
                  ignore (Replica_set.put set ~key:"k" ~value:"v1");
                  (* Instant crash+restart: no write is missed, but the
                     epoch moved — health checking alone must fence. *)
-                 World.crash w 0;
-                 World.restart w 0;
+                 Net.crash w 0;
+                 Net.restart w 0;
                  ignore (Replica_set.check_health set);
                  let fenced = Replica_set.synced_names set = [ "n1" ] in
                  let repaired = Replica_set.resync set in
@@ -1341,13 +1132,13 @@ let mutation_vcs =
       (fun () ->
         let naive = naive_failover_history () in
         let fenced, failovers = fenced_failover_history () in
-        if fenced.errors <> [] || not (linearizable fenced) then
+        if fenced.errors <> [] || not (World.linearizable fenced) then
           Vc.Falsified "correct replica set not linearizable"
         else if failovers < 1 then
           Vc.Falsified "correct replica set never failed over"
         else if naive.errors <> [] && naive.calls = [] then
           Vc.Falsified "naive client produced no history"
-        else if linearizable naive then
+        else if World.linearizable naive then
           Vc.Falsified "stale failover read not caught by the checker"
         else Vc.Proved);
     (* The positive control, with its plan shrunk to one decision and
@@ -1381,8 +1172,8 @@ let mutation_vcs =
            (Replica_set.stats set).RC.attempts,
            Array.to_list
              (Array.map
-                (fun n -> Node_core.dump_dups n.World.core)
-                w.World.nodes))
+                (fun n -> Node_core.dump_dups n.Net.core)
+                w.Net.nodes))
         in
         go () = go ());
   ]
@@ -1403,9 +1194,9 @@ let crash_vcs =
         let s, w, node =
           scripted_world ~req:[] ~resp:[ FP.Pass; FP.Drop ]
         in
-        let ep = World.endpoint w 0 ~attempt_timeout in
+        let ep = Net.endpoint w 0 ~attempt_timeout in
         let client =
-          RC.create ~config:(patient_config 23) ~client:1 (World.clock w) ep
+          RC.create ~config:(World.patient_config 23) ~client:1 (Net.clock w) ep
         in
         let put_r = ref (Error RC.Breaker_open) in
         let del_r = ref (Error RC.Breaker_open) in
@@ -1417,17 +1208,17 @@ let crash_vcs =
           (* After the delete has applied (ack dropped), before the
              retry's backoff expires. *)
           Sim.sleep 6;
-          World.crash w 0;
+          Net.crash w 0;
           Sim.sleep 3;
-          World.restart w 0
+          Net.restart w 0
         in
         ignore (run_world s w [ worker; controller ]);
         !put_r = Ok ()
         && !del_r = Ok true
-        && Node_core.mem_contents node.World.store = []
-        && Node_core.applied node.World.core = 0
-        && Node_core.dup_hits node.World.core >= 1
-        && node.World.last_recovery.Node_core.r_dup_entries >= 2);
+        && Node_core.mem_contents node.Net.store = []
+        && Node_core.applied node.Net.core = 0
+        && Node_core.dup_hits node.Net.core >= 1
+        && node.Net.last_recovery.Node_core.r_dup_entries >= 2);
     (* Linearizability stays exact when drop-induced retries straddle a
        crash+restart of a replica — the family the suite previously only
        ran fault-free. *)
@@ -1441,7 +1232,7 @@ let crash_vcs =
                   ~rates:rates_drop ~replicas:2 ~procs:2 ~ops:5
                   ~crash:(`Crash_restart (25, 30)) ()
               in
-              rc.errors = [] && rc.calls <> [] && linearizable rc)
+              rc.errors = [] && rc.calls <> [] && World.linearizable rc)
             [ 1; 2 ]
         in
         Vc.outcome_of_bool ok);
@@ -1485,12 +1276,13 @@ let bench_stats () =
         seeded_node ~tag:"bench" ~i ~seed:(41 + i) ~rates:rates_mixed ~limit:12
           ())
   in
-  let w = World.create s nodes in
-  let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
+  let w = Net.create s nodes in
+  let eps = List.init 2 (fun i -> Net.endpoint w i ~attempt_timeout) in
   let set =
     Replica_set.create
-      ~config:{ (patient_config 17) with max_attempts = 4; deadline = 300 }
-      ~client:1 (World.clock w) eps
+      ~config:
+        { (World.patient_config 17) with max_attempts = 4; deadline = 300 }
+      ~client:1 (Net.clock w) eps
   in
   let ops = ref 0 in
   let failover_rounds = ref 0 in
@@ -1507,14 +1299,14 @@ let bench_stats () =
   in
   let controller () =
     Sim.sleep 40;
-    World.crash w 0;
+    Net.crash w 0;
     (* The post-crash read measures failover latency. *)
-    let t0 = s.Sim.now in
+    let t0 = Sim.now s in
     incr ops;
     ignore (Replica_set.get set ~key:"k1");
-    failover_rounds := s.Sim.now - t0;
+    failover_rounds := Sim.now s - t0;
     Sim.sleep 30;
-    World.restart w 0;
+    Net.restart w 0;
     ignore (Replica_set.check_health set);
     ignore (Replica_set.resync set)
   in
@@ -1522,13 +1314,13 @@ let bench_stats () =
   let st = Replica_set.stats set in
   let applied =
     Array.fold_left
-      (fun acc n -> acc + Node_core.applied n.World.core)
-      0 w.World.nodes
+      (fun acc n -> acc + Node_core.applied n.Net.core)
+      0 w.Net.nodes
   in
   let dup_hits =
     Array.fold_left
-      (fun acc n -> acc + Node_core.dup_hits n.World.core)
-      0 w.World.nodes
+      (fun acc n -> acc + Node_core.dup_hits n.Net.core)
+      0 w.Net.nodes
   in
   {
     ops = !ops;

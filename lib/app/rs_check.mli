@@ -1,9 +1,9 @@
 (** The [rs] verify suite: the resilient store end to end.
 
-    A virtual-time fiber scheduler (OCaml effects) runs client fibers
-    against {!Node_core} instances behind {!Bi_fault.Faulty_link}
-    channels, so every schedule and every injected fault is a
-    deterministic, replayable artifact.  The obligations:
+    {!World}'s virtual-time fiber scheduler (OCaml effects) runs client
+    fibers against {!Node_core} instances behind
+    {!Bi_fault.Faulty_link} channels, so every schedule and every
+    injected fault is a deterministic, replayable artifact.  The obligations:
 
     - protocol totality and round-trips for the txn / typed-error /
       health extensions;

@@ -5,74 +5,14 @@ module SM = Shard_map
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
-
-(* ================================================================== *)
-(* Virtual-time fiber scheduler (the [rs] suite's, with the same        *)
-(* determinism contract: (wake, spawn-order)-ordered resumption)        *)
-
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
+module Sim = World.Sim
+module Lin = World.Lin
 
 (* ================================================================== *)
 (* The sharded world: nodes behind faulty channels, each with a bounded *)
 (* service rate so bench throughput scales with shard spread            *)
 
-module World = struct
+module Net = struct
   type node = {
     name : string;
     store : Node_core.store;
@@ -85,12 +25,7 @@ module World = struct
     service_rate : int;  (** Requests served per round. *)
   }
 
-  type t = {
-    sched : Sim.sched;
-    nodes : node array;
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
-  }
+  type t = { wire : World.wire; nodes : node array }
 
   let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
     let store = Node_core.mem_store () in
@@ -107,12 +42,7 @@ module World = struct
     }
 
   let create sched nodes =
-    {
-      sched;
-      nodes = Array.of_list nodes;
-      pending = Hashtbl.create 64;
-      next_id = 1;
-    }
+    { wire = World.wire sched; nodes = Array.of_list nodes }
 
   let crash t i =
     let n = t.nodes.(i) in
@@ -163,117 +93,20 @@ module World = struct
                  (P.seal_iov ~id (P.encode_resp_iov resp)))
           done
         end;
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step n.resp_ch))
+        World.deliver t.wire n.resp_ch)
       t.nodes
 
-  let endpoint t i ~attempt_timeout : RC.endpoint =
+  let endpoint t i ~attempt_timeout =
     let n = t.nodes.(i) in
-    {
-      RC.name = n.name;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send n.req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
-    }
+    World.endpoint t.wire ~name:n.name n.req_ch ~attempt_timeout
 
-  let clock t =
-    { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
+  let clock t = World.clock t.wire
 end
-
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
 
 (* ================================================================== *)
 (* Cluster assembly                                                     *)
 
 let attempt_timeout = 10
-
-let patient_config seed =
-  {
-    RC.max_attempts = 10;
-    backoff_base = 2;
-    backoff_cap = 8;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
-    deadline = 2_000;
-    seed;
-  }
 
 let rates_pass = FP.no_faults
 let rates_drop = { FP.no_faults with drop = 150 }
@@ -285,10 +118,10 @@ let rates_mixed =
 
 (* The admin closures dereference the node's *current* core at call
    time, so a crash-restarted node is still reachable through them. *)
-let admin_of (w : World.t) i : SR.admin =
-  let core () = w.World.nodes.(i).World.core in
+let admin_of (w : Net.t) i : SR.admin =
+  let core () = w.Net.nodes.(i).Net.core in
   {
-    SR.a_name = w.World.nodes.(i).World.name;
+    SR.a_name = w.Net.nodes.(i).Net.name;
     freeze = (fun ~shard -> Node_core.freeze (core ()) ~shard);
     unfreeze = (fun ~shard -> Node_core.unfreeze (core ()) ~shard);
     adopt =
@@ -309,7 +142,7 @@ let admin_of (w : World.t) i : SR.admin =
 
 type env = {
   sched : Sim.sched;
-  world : World.t;
+  world : Net.t;
   cluster : SR.cluster;
 }
 
@@ -318,7 +151,7 @@ let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ~tag ~seed ~rates
   let s = Sim.make () in
   let nodes =
     List.init nnodes (fun i ->
-        World.node
+        Net.node
           ~name:(Printf.sprintf "n%d" i)
           ?service_rate
           ~req_plan:
@@ -331,16 +164,16 @@ let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ~tag ~seed ~rates
                ~seed:(seed + i) ~rates ~limit ())
           ())
   in
-  let w = World.create s nodes in
+  let w = Net.create s nodes in
   let map = SM.create ~nshards ~nodes:nnodes in
   Array.iteri
     (fun i n ->
-      Node_core.enable_sharding n.World.core ~nshards ~version:(SM.version map)
+      Node_core.enable_sharding n.Net.core ~nshards ~version:(SM.version map)
         ~owned:(SM.shards_of_node map ~node:i))
-    w.World.nodes;
+    w.Net.nodes;
   let admins = Array.init nnodes (fun i -> admin_of w i) in
   let endpoints =
-    Array.init nnodes (fun i -> World.endpoint w i ~attempt_timeout)
+    Array.init nnodes (fun i -> Net.endpoint w i ~attempt_timeout)
   in
   { sched = s; world = w; cluster = SR.cluster ~map ~admins ~endpoints }
 
@@ -350,18 +183,18 @@ let quiet_cluster ?nshards ?nnodes ?service_rate ~tag () =
 
 let run_world env fibers =
   List.iter (Sim.spawn env.sched) fibers;
-  Sim.run ~tick:(fun () -> World.tick env.world) env.sched
+  Sim.run ~tick:(fun () -> Net.tick env.world) env.sched
 
 let router ?config ?route_retries ~client env =
   SR.connect ?config ?route_retries ~client env.cluster
-    (World.clock env.world)
+    (Net.clock env.world)
 
-let core_of env i = env.world.World.nodes.(i).World.core
+let core_of env i = env.world.Net.nodes.(i).Net.core
 
 let total_applied env =
   Array.fold_left
-    (fun acc n -> acc + Node_core.applied n.World.core)
-    0 env.world.World.nodes
+    (fun acc n -> acc + Node_core.applied n.Net.core)
+    0 env.world.Net.nodes
 
 (* The first [n] keys of the form m<i> that hash onto [shard]. *)
 let keys_in ~nshards shard n =
@@ -393,7 +226,7 @@ let direct_put core key value =
    no-key-loss obligation.  Returns the accounting needed by the lin and
    exactly-once VCs. *)
 type mig_run = {
-  rc : recorder;
+  rc : World.recorder;
   mig_ok : bool;
   ballast_ok : bool;
   acked_muts : int;  (** Successful workload mutations. *)
@@ -411,7 +244,7 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
   let nnodes = match crash with `No -> 2 | _ -> 3 in
   let env = make_cluster ~nshards ~nnodes ~tag ~seed ~rates ~limit:6 () in
   let s = env.sched and w = env.world and c = env.cluster in
-  let rc = recorder () in
+  let rc = World.recorder () in
   (* Ballast: one key per shard, written straight into the owners'
      cores before the network exists. *)
   let ballast =
@@ -427,38 +260,28 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
   let fiber proc =
     let r =
       router
-        ~config:{ (patient_config (seed + proc)) with max_attempts = 14 }
+        ~config:{ (World.patient_config (seed + proc)) with max_attempts = 14 }
         ~client:proc env
+    in
+    let err r = Result.map_error (Format.asprintf "%a" RC.pp_error) r in
+    let ops =
+      {
+        World.put = (fun ~key ~value -> err (SR.put r ~key ~value));
+        get = (fun ~key -> err (SR.get r ~key));
+        delete = (fun ~key -> err (SR.delete r ~key));
+      }
     in
     fun () ->
       for i = 1 to 6 do
         let key = keys.((i + proc) mod 4) in
-        (match (i + (2 * proc)) mod 4 with
-        | 0 | 1 ->
-            let v = Printf.sprintf "v%d-%d" proc i in
-            record rc s proc (Spec.Put (key, v)) (fun () ->
-                match SR.put r ~key ~value:v with
-                | Ok () -> Ok Spec.RUnit
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | 2 ->
-            record rc s proc (Spec.Get key) (fun () ->
-                match SR.get r ~key with
-                | Ok v -> Ok (Spec.RVal v)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | _ when deletes ->
-            record rc s proc (Spec.Del key) (fun () ->
-                match SR.delete r ~key with
-                | Ok b -> Ok (Spec.RBool b)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | _ ->
-            record rc s proc (Spec.Get key) (fun () ->
-                match SR.get r ~key with
-                | Ok v -> Ok (Spec.RVal v)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e)));
+        World.lin_op rc ~now:(fun () -> Sim.now s) ops ~proc ~i ~deletes ~key
+          ~value:(Printf.sprintf "v%d-%d" proc i);
         Sim.sleep (1 + ((proc + i) mod 3))
       done
   in
-  let mig_router = router ~config:(patient_config (seed + 77)) ~client:99 env in
+  let mig_router =
+    router ~config:(World.patient_config (seed + 77)) ~client:99 env
+  in
   let mig_result = ref (Error "not run") in
   let shard = SM.shard_of_key (SR.map c) "a" in
   let from_ = SM.node_of (SR.map c) ~shard in
@@ -478,9 +301,9 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
         @ [
             (fun () ->
               Sim.sleep at;
-              World.crash w victim;
+              Net.crash w victim;
               Sim.sleep down;
-              World.restart w victim ~map:(SR.map c));
+              Net.restart w victim ~map:(SR.map c));
           ]
   in
   let rounds = run_world env fibers in
@@ -491,30 +314,18 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
         Node_core.handle (core_of env node) (P.Get k) = value_resp v)
       ballast
   in
-  let acked_muts =
-    (* Effective mutations only: a delete acknowledged [false] found
-       nothing to remove and was never applied. *)
-    List.length
-      (List.filter
-         (fun call ->
-           match (call.Lin.op, call.Lin.ret) with
-           | Spec.Put _, _ -> true
-           | Spec.Del _, Spec.RBool b -> b
-           | _ -> false)
-         rc.calls)
-  in
   {
     rc;
     mig_ok = (!mig_result = Ok ());
     ballast_ok;
-    acked_muts;
+    acked_muts = World.acked_mutations rc;
     applied = total_applied env;
     keys_moved = (SR.migration_stats c).SR.keys_moved;
     nballast = nshards;
     rounds;
     dups =
       Array.to_list
-        (Array.map (fun n -> Node_core.dump_dups n.World.core) w.World.nodes);
+        (Array.map (fun n -> Node_core.dump_dups n.Net.core) w.Net.nodes);
   }
 
 (* A reader polling the last-copied key of a migrating shard, against
@@ -530,9 +341,9 @@ let copy_window_reads ~flip_before_copy () =
   let keys = keys_in ~nshards shard 3 in
   let last_key = List.nth keys 2 in
   let to_ = (SM.node_of (SR.map c) ~shard + 1) mod 2 in
-  let setup = router ~config:(patient_config 3) ~client:1 env in
-  let reader = router ~config:(patient_config 4) ~client:2 env in
-  let mig = router ~config:(patient_config 5) ~client:99 env in
+  let setup = router ~config:(World.patient_config 3) ~client:1 env in
+  let reader = router ~config:(World.patient_config 4) ~client:2 env in
+  let mig = router ~config:(World.patient_config 5) ~client:99 env in
   let mig_result = ref (Error "not run") in
   let nones = ref 0 in
   let errors = ref 0 in
@@ -574,12 +385,14 @@ let retry_across_handoff ~carry_dups () =
   let key = key_in ~nshards shard in
   let from_ = SM.node_of (SR.map c) ~shard in
   let to_ = (from_ + 1) mod 2 in
-  let clock = World.clock env.world in
-  let ep_from = World.endpoint env.world from_ ~attempt_timeout in
-  let ep_to = World.endpoint env.world to_ ~attempt_timeout in
-  let c_from = RC.create ~config:(patient_config 6) ~client:5 clock ep_from in
-  let c_to = RC.create ~config:(patient_config 7) ~client:5 clock ep_to in
-  let mig = router ~config:(patient_config 8) ~client:99 env in
+  let clock = Net.clock env.world in
+  let ep_from = Net.endpoint env.world from_ ~attempt_timeout in
+  let ep_to = Net.endpoint env.world to_ ~attempt_timeout in
+  let c_from =
+    RC.create ~config:(World.patient_config 6) ~client:5 clock ep_from
+  in
+  let c_to = RC.create ~config:(World.patient_config 7) ~client:5 clock ep_to in
+  let mig = router ~config:(World.patient_config 8) ~client:99 env in
   let txn = { P.client = 5; seq = 1 } in
   let first = ref (Error RC.Breaker_open) in
   let retry = ref (Error RC.Breaker_open) in
@@ -860,7 +673,7 @@ let router_vcs =
     Vc.prop ~id:"sh/router/routes-by-owner" ~category:cat_router (fun () ->
         let nshards = 4 in
         let env = quiet_cluster ~nshards ~tag:"routes" () in
-        let r = router ~config:(patient_config 2) ~client:1 env in
+        let r = router ~config:(World.patient_config 2) ~client:1 env in
         let keys = List.init 8 (fun i -> Printf.sprintf "r%d" i) in
         let acks = ref 0 in
         ignore
@@ -889,7 +702,7 @@ let router_vcs =
       (fun () ->
         let nshards = 4 in
         let env = quiet_cluster ~nshards ~tag:"reroute" () in
-        let r = router ~config:(patient_config 3) ~client:1 env in
+        let r = router ~config:(World.patient_config 3) ~client:1 env in
         let k = key_in ~nshards 0 in
         let owner = SM.node_of_key (SR.map env.cluster) k in
         let result = ref (Error RC.Breaker_open) in
@@ -907,7 +720,7 @@ let router_vcs =
         && Node_core.applied (core_of env owner) = 1);
     Vc.prop ~id:"sh/router/scatter-list" ~category:cat_router (fun () ->
         let env = quiet_cluster ~nshards:4 ~tag:"scatter" () in
-        let r = router ~config:(patient_config 4) ~client:1 env in
+        let r = router ~config:(World.patient_config 4) ~client:1 env in
         let keys = List.init 8 (fun i -> Printf.sprintf "r%d" i) in
         let listed = ref (Error RC.Breaker_open) in
         ignore
@@ -925,7 +738,7 @@ let router_vcs =
         let nshards = 4 in
         let env = quiet_cluster ~nshards ~tag:"bounded" () in
         let r =
-          router ~config:(patient_config 5) ~route_retries:2 ~client:1 env
+          router ~config:(World.patient_config 5) ~route_retries:2 ~client:1 env
         in
         let k = key_in ~nshards 0 in
         let owner = SM.node_of_key (SR.map env.cluster) k in
@@ -940,8 +753,8 @@ let router_vcs =
         && (SR.stats r).SR.wrong_shard_retries = 3);
     Vc.prop ~id:"sh/router/reads-route" ~category:cat_router (fun () ->
         let env = quiet_cluster ~nshards:4 ~tag:"reads" () in
-        let w = router ~config:(patient_config 6) ~client:1 env in
-        let r = router ~config:(patient_config 7) ~client:2 env in
+        let w = router ~config:(World.patient_config 6) ~client:1 env in
+        let r = router ~config:(World.patient_config 7) ~client:2 env in
         let hit = ref (Error RC.Breaker_open) in
         let miss = ref (Error RC.Breaker_open) in
         ignore
@@ -965,8 +778,8 @@ let migrate_vcs =
         let keys = keys_in ~nshards shard 2 in
         let from_ = SM.node_of (SR.map c) ~shard in
         let to_ = 1 - from_ in
-        let r = router ~config:(patient_config 2) ~client:1 env in
-        let mig = router ~config:(patient_config 3) ~client:99 env in
+        let r = router ~config:(World.patient_config 2) ~client:1 env in
+        let mig = router ~config:(World.patient_config 3) ~client:99 env in
         let mig_result = ref (Error "not run") in
         ignore
           (run_world env
@@ -980,7 +793,7 @@ let migrate_vcs =
         let src_left =
           List.filter
             (fun (k, _) -> SM.shard_of ~nshards k = shard)
-            (Node_core.mem_contents env.world.World.nodes.(from_).World.store)
+            (Node_core.mem_contents env.world.Net.nodes.(from_).Net.store)
         in
         !mig_result = Ok ()
         && (SR.migration_stats c).SR.keys_moved = 2
@@ -997,8 +810,8 @@ let migrate_vcs =
         let nshards = 4 in
         let env = quiet_cluster ~nshards ~tag:"nokeyloss" () in
         let c = env.cluster in
-        let r = router ~config:(patient_config 2) ~client:1 env in
-        let mig = router ~config:(patient_config 3) ~client:99 env in
+        let r = router ~config:(World.patient_config 2) ~client:1 env in
+        let mig = router ~config:(World.patient_config 3) ~client:99 env in
         let keys = List.init 10 (fun i -> Printf.sprintf "r%d" i) in
         let before = ref (Error RC.Breaker_open) in
         let after = ref (Error RC.Breaker_open) in
@@ -1035,8 +848,8 @@ let migrate_vcs =
         let shard = 0 in
         let from_ = SM.node_of (SR.map c) ~shard in
         let to_ = 1 - from_ in
-        let r = router ~config:(patient_config 2) ~client:1 env in
-        let mig = router ~config:(patient_config 3) ~client:99 env in
+        let r = router ~config:(World.patient_config 2) ~client:1 env in
+        let mig = router ~config:(World.patient_config 3) ~client:99 env in
         let mig_result = ref (Error "not run") in
         ignore
           (run_world env
@@ -1079,7 +892,9 @@ let migrate_vcs =
         let acks = ref 0 in
         let failures = ref 0 in
         let writer p =
-          let r = router ~config:(patient_config (10 + p)) ~client:p env in
+          let r =
+            router ~config:(World.patient_config (10 + p)) ~client:p env
+          in
           fun () ->
             for i = 1 to 6 do
               (match
@@ -1092,7 +907,7 @@ let migrate_vcs =
               Sim.sleep 1
             done
         in
-        let mig = router ~config:(patient_config 9) ~client:99 env in
+        let mig = router ~config:(World.patient_config 9) ~client:99 env in
         let mig_result = ref (Error "not run") in
         ignore
           (run_world env
@@ -1130,12 +945,12 @@ let migrate_vcs =
         let kdel = List.hd (List.sort compare keys) in
         let from_ = SM.node_of (SR.map c) ~shard in
         let to_ = 1 - from_ in
-        let r = router ~config:(patient_config 2) ~client:1 env in
-        let mig = router ~config:(patient_config 3) ~client:99 env in
+        let r = router ~config:(World.patient_config 2) ~client:1 env in
+        let mig = router ~config:(World.patient_config 3) ~client:99 env in
         let tgt_residue () =
           List.filter
             (fun (k, _) -> SM.shard_of ~nshards k = shard)
-            (Node_core.mem_contents w.World.nodes.(to_).World.store)
+            (Node_core.mem_contents w.Net.nodes.(to_).Net.store)
         in
         let mig1 = ref (Ok ()) in
         let mig2 = ref (Error "not run") in
@@ -1159,7 +974,7 @@ let migrate_vcs =
                    | None -> true);
                  listing := SR.list r;
                  deleted := SR.delete r ~key:kdel;
-                 World.revive w to_;
+                 Net.revive w to_;
                  mig2 := SR.migrate mig ~shard ~to_);
                (fun () ->
                  (* Partition the target as soon as the first copied key
@@ -1172,7 +987,7 @@ let migrate_vcs =
                  done;
                  if tgt_residue () <> [] then begin
                    partitioned := true;
-                   World.crash w to_
+                   Net.crash w to_
                  end);
              ]);
         !partitioned
@@ -1205,7 +1020,7 @@ let lin_vc ~family ~rates ?deletes ?crash () =
                 ?crash ()
             in
             m.rc.errors = [] && m.rc.calls <> [] && m.mig_ok && m.ballast_ok
-            && linearizable m.rc)
+            && World.linearizable m.rc)
           [ 1; 2; 3 ]
       in
       Vc.outcome_of_bool ok)
@@ -1322,7 +1137,7 @@ let throughput_point ~nnodes =
   in
   let ops = ref 0 in
   let worker p =
-    let r = router ~config:(patient_config (20 + p)) ~client:p env in
+    let r = router ~config:(World.patient_config (20 + p)) ~client:p env in
     fun () ->
       for i = 1 to 24 do
         incr ops;
@@ -1349,11 +1164,11 @@ let migration_bench () =
   in
   let c = env.cluster in
   let keys = List.init 24 (fun i -> Printf.sprintf "m%d" i) in
-  let setup = router ~config:(patient_config 30) ~client:1 env in
+  let setup = router ~config:(World.patient_config 30) ~client:1 env in
   let worker_routers =
     List.init 4 (fun p ->
         let p = p + 2 in
-        (p, router ~config:(patient_config (30 + p)) ~client:p env))
+        (p, router ~config:(World.patient_config (30 + p)) ~client:p env))
   in
   let workers =
     List.map
@@ -1368,7 +1183,7 @@ let migration_bench () =
         done)
       worker_routers
   in
-  let mig = router ~config:(patient_config 29) ~client:99 env in
+  let mig = router ~config:(World.patient_config 29) ~client:99 env in
   let mig_fiber () =
     Sim.sleep 40;
     (* Move two shards, one after the other, under the live load. *)

@@ -1,7 +1,7 @@
 (** The [sh] verify suite: the sharded block store and its live
     migrations.
 
-    The same virtual-time fiber scheduler as the [rs] suite drives
+    {!World}'s virtual-time fiber scheduler, as in the [rs] suite, drives
     sharded {!Node_core}s behind {!Bi_fault.Faulty_link} channels — with
     one addition: each node serves at most [service_rate] requests per
     round, so the bench can show throughput scaling with shard spread.

@@ -1,8 +1,8 @@
 (* The `wl` verification suite: adversarial *load*, where the other app
    suites are adversarial *faults*.
 
-   The obligations, discharged executably over the same virtual-time
-   fiber world the rs/sh suites use:
+   The obligations, discharged executably over the virtual-time fiber
+   world all the app suites share ([Bi_app.World]):
 
    - determinism: the workload samplers and the engine are pure functions
      of (config, seed) — traces and whole summaries compare bit-for-bit;
@@ -31,72 +31,12 @@ module Adm = Bi_app.Admission
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
+module World = Bi_app.World
+module Sim = World.Sim
 module G = Bi_core.Gen
 module R = Bi_core.Stats.Reservoir
 module W = Workload
 module E = Engine
-
-(* ================================================================== *)
-(* Virtual-time fiber scheduler (the rs/sh suites', same determinism    *)
-(* contract: (wake, spawn-order)-ordered resumption)                    *)
-
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
 
 (* ================================================================== *)
 (* The overloaded world: ONE node fronted by Node_core.Queued, with a   *)
@@ -108,12 +48,10 @@ module QWorld = struct
   type conn = { req_ch : FL.channel; resp_ch : FL.channel }
 
   type t = {
-    sched : Sim.sched;
     store : NC.store;
     qnode : NC.Queued.t;
     conns : conn array; (* index = client id *)
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
+    wire : World.wire;
     service_rate : int;
     mutable inv_ok : bool; (* admission invariants held at every tick *)
     mutable max_qlen : int;
@@ -142,12 +80,10 @@ module QWorld = struct
           })
     in
     {
-      sched;
       store;
       qnode;
       conns;
-      pending = Hashtbl.create 64;
-      next_id = 1;
+      wire = World.wire sched;
       service_rate;
       inv_ok = true;
       max_qlen = 0;
@@ -182,115 +118,21 @@ module QWorld = struct
     t.max_qlen <- max t.max_qlen (NC.Queued.queue_length t.qnode);
     t.inv_ok <- t.inv_ok && NC.Queued.invariants_ok t.qnode;
     (* Deliver responses to their waiting clients. *)
-    Array.iter
-      (fun conn ->
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step conn.resp_ch))
-      t.conns
+    Array.iter (fun conn -> World.deliver t.wire conn.resp_ch) t.conns
 
   let attempt_timeout = 10
 
-  let endpoint t client : RC.endpoint =
-    {
-      RC.name = Printf.sprintf "qnode/c%d" client;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send t.conns.(client).req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
-    }
+  let endpoint t client =
+    World.endpoint t.wire
+      ~name:(Printf.sprintf "qnode/c%d" client)
+      t.conns.(client).req_ch ~attempt_timeout
 
-  let clock t = { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
+  let clock t = World.clock t.wire
 end
-
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
 
 (* A retry config patient enough to ride out both faults and sheds. *)
 let patient_config seed =
-  {
-    RC.max_attempts = 12;
-    backoff_base = 2;
-    backoff_cap = 8;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
-    deadline = 4_000;
-    seed;
-  }
+  { (World.patient_config seed) with RC.max_attempts = 12; deadline = 4_000 }
 
 let rates_pass = FP.no_faults
 let rates_drop = { FP.no_faults with drop = 150 }
@@ -304,7 +146,7 @@ let rates_mixed =
 (* Overloaded-world scenarios                                          *)
 
 type shed_run = {
-  rc : recorder;
+  rc : World.recorder;
   acked_muts : int; (* acked Puts + acked-true Dels *)
   applied : int;
   queue_shed : int;
@@ -324,7 +166,7 @@ let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
     QWorld.create ~service_rate:1 ~per_client ~capacity ~nclients ~tag ~seed
       ~rates ~limit s
   in
-  let rc = recorder () in
+  let rc = World.recorder () in
   let keys = [| "a"; "b" |] in
   let clients =
     Array.init nclients (fun proc ->
@@ -337,49 +179,19 @@ let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
     let cl = clients.(proc) in
     for i = 1 to ops do
       let key = keys.((i + proc) mod Array.length keys) in
-      (match (i + (2 * proc)) mod 4 with
-      | 0 | 1 ->
-          let v = Printf.sprintf "v%d-%d" proc i in
-          record rc s proc (Spec.Put (key, v)) (fun () ->
-              match RC.put cl ~key ~value:v with
-              | Ok () -> Ok Spec.RUnit
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | 2 ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | _ when deletes ->
-          record rc s proc (Spec.Del key) (fun () ->
-              match RC.delete cl ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | _ ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e)));
+      World.lin_op rc ~now:(fun () -> Sim.now s) (World.client_ops cl) ~proc ~i
+        ~deletes ~key ~value:(Printf.sprintf "v%d-%d" proc i);
       Sim.sleep (1 + ((proc + i) mod 3))
     done
   in
   List.iter (Sim.spawn s) (List.init nclients fiber);
   ignore (Sim.run ~tick:(fun () -> QWorld.tick w) s);
-  let acked_muts =
-    List.length
-      (List.filter
-         (fun call ->
-           match (call.Lin.op, call.Lin.ret) with
-           | Spec.Put _, _ -> true
-           | Spec.Del _, Spec.RBool b -> b
-           | _ -> false)
-         rc.calls)
-  in
   let client_sheds =
     Array.fold_left (fun acc cl -> acc + (RC.stats cl).RC.sheds) 0 clients
   in
   {
     rc;
-    acked_muts;
+    acked_muts = World.acked_mutations rc;
     applied = NC.applied (NC.Queued.node w.QWorld.qnode);
     queue_shed = NC.Queued.shed w.QWorld.qnode;
     client_sheds;
@@ -403,8 +215,7 @@ let flood_scenario ~tag ~seed ?(unfair = false) ?(victim_ops = 5) () =
   let flooder () =
     for _ = 1 to flood_rounds do
       for _ = 1 to 3 do
-        let id = w.QWorld.next_id in
-        w.QWorld.next_id <- id + 1;
+        let id = World.fresh_id w.QWorld.wire in
         FL.send w.QWorld.conns.(0).QWorld.req_ch
           (P.seal ~id
              (P.encode_req
@@ -954,7 +765,7 @@ let lin_vcs () =
                   ~tag:(Printf.sprintf "lin-%s-%d" family seed)
                   ~seed:(100 + seed) ~rates ()
               in
-              r.rc.errors = [] && linearizable r.rc && r.inv_ok
+              r.rc.errors = [] && World.linearizable r.rc && r.inv_ok
               && r.max_qlen <= r.capacity))
         [ 1; 2; 3 ])
     [

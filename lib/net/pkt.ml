@@ -1,20 +1,25 @@
 (* Copy accounting: every primitive that moves payload bytes into or out
    of a buffer reports here, so the bench ablation can compare bytes
-   copied per framed message between the copying and iovec paths.  Plain
-   refs — the counters are only read from single-domain benches/VCs. *)
-let copied_bytes_ctr = ref 0
-let copies_ctr = ref 0
+   copied per framed message between the copying and iovec paths.  The
+   counters are domain-local, like [Bi_core.Contract]'s mode: a VC
+   counting its own copies must not see copies another domain makes
+   while discharging VCs in parallel. *)
+type copy_stats = { mutable copies : int; mutable bytes : int }
+
+let stats = Domain.DLS.new_key (fun () -> { copies = 0; bytes = 0 })
 
 let count_copy n =
-  incr copies_ctr;
-  copied_bytes_ctr := !copied_bytes_ctr + n
+  let st = Domain.DLS.get stats in
+  st.copies <- st.copies + 1;
+  st.bytes <- st.bytes + n
 
 let reset_copy_stats () =
-  copied_bytes_ctr := 0;
-  copies_ctr := 0
+  let st = Domain.DLS.get stats in
+  st.copies <- 0;
+  st.bytes <- 0
 
-let copied_bytes () = !copied_bytes_ctr
-let copies () = !copies_ctr
+let copied_bytes () = (Domain.DLS.get stats).bytes
+let copies () = (Domain.DLS.get stats).copies
 
 module W = struct
   type t = Buffer.t

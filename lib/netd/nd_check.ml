@@ -32,6 +32,7 @@ module Sys_spec = Bi_kernel.Sys_spec
 module P = Bi_app.Protocol
 module RC = Bi_app.Resilient_client
 module Node_core = Bi_app.Node_core
+module World = Bi_app.World
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module E = Bi_core.Explore
@@ -43,77 +44,14 @@ let server_ip = Bi_net.Ip.addr_of_string "10.0.0.1"
 let client_ip = Bi_net.Ip.addr_of_string "10.0.0.2"
 
 (* ================================================================== *)
-(* Sequential spec and linearizability checking                        *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-
-  type ret = RUnit | RVal of string option | RBool of bool
-  (* Exact returns only.  Until PR 10 a mutation whose retries straddled
-     a netd crash was marked ambiguous (the duplicate table died with
-     the old epoch, so a re-applied [Del] could observe either boolean);
-     the respawned daemon now recovers the table from its journal, so
-     every call — straddling or not — must match the sequential spec
-     exactly. *)
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret a b = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-(* Timestamps are kernel virtual time; [res > inv] strictly, as the
-   checker requires.  The record is an ordinary OCaml value — threads of
-   every simulated process share the harness heap, which is exactly what
-   lets us observe a cross-process history without adding syscalls. *)
-let record rc sys proc op run =
-  let inv = Int64.to_int (U.now sys) in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) (Int64.to_int (U.now sys)) in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
-let rc_err e = Format.asprintf "%a" RC.pp_error e
-
-(* ================================================================== *)
 (* World harness                                                       *)
 
 let patient_config ~seed =
   {
+    (World.patient_config seed) with
     RC.max_attempts = 12;
-    backoff_base = 2;
     backoff_cap = 16;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
     deadline = 6_000;
-    seed;
   }
 
 (* Ping netd until it reports [epoch >= after_epoch], then deliver
@@ -237,45 +175,32 @@ let same_kv a b = List.sort compare a = List.sort compare b
 
 (* The linearizability workload: a 2-key space so operations genuinely
    contend, the op mix and jitter keyed off (proc, i) so every thread's
-   schedule is deterministic but different. *)
+   schedule is deterministic but different.  Timestamps are kernel
+   virtual time.  The history is an ordinary OCaml value — threads of
+   every simulated process share the harness heap, which is exactly what
+   lets us observe a cross-process history without adding syscalls.
+   Every call, even one whose retries straddle a netd crash, must match
+   the sequential spec exactly: the respawned daemon recovers its
+   duplicate table from the journal. *)
 let lin_body rc ~seed ~attempt_ticks ~deletes ~ops ts proc =
   let net, cl =
     Nd_client.create
       ~config:(patient_config ~seed:(seed + proc))
       ~attempt_ticks ~client:proc ts ~ip:server_ip
   in
+  let kv = World.client_ops cl in
+  let now () = Int64.to_int (U.now ts) in
   for i = 1 to ops do
     U.sleep ts (1 + ((proc + i) mod 3));
     let key = if (proc + i) mod 2 = 0 then "alpha" else "beta" in
-    let v = Printf.sprintf "p%d-%d" proc i in
-    match (i + (2 * proc)) mod 4 with
-    | 0 | 1 ->
-        record rc ts proc (Spec.Put (key, v)) (fun () ->
-            match RC.put cl ~key ~value:v with
-            | Ok () -> Ok Spec.RUnit
-            | Error e -> Error (rc_err e))
-    | 2 ->
-        record rc ts proc (Spec.Get key) (fun () ->
-            match RC.get cl ~key with
-            | Ok v -> Ok (Spec.RVal v)
-            | Error e -> Error (rc_err e))
-    | _ ->
-        if deletes then
-          record rc ts proc (Spec.Del key) (fun () ->
-              match RC.delete cl ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (rc_err e))
-        else
-          record rc ts proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (rc_err e))
+    World.lin_op rc ~now kv ~proc ~i ~deletes ~key
+      ~value:(Printf.sprintf "p%d-%d" proc i)
   done;
   Nd_client.close net
 
 let lin_world ?config ?faults ?crash ?trace ?(procs = 3) ?(ops = 6)
     ?(attempt_ticks = 300) ?(deletes = true) ~seed () =
-  let rc = recorder () in
+  let rc = World.recorder () in
   let out =
     run_world ?config ?faults ?crash ?trace ~threads:procs
       ~client_body:(lin_body rc ~seed ~attempt_ticks ~deletes ~ops)
@@ -1023,7 +948,8 @@ let vc_eo_dup_wrapper =
 (* ------------------------------------------------------------------ *)
 (* End-to-end linearizability                                          *)
 
-let lin_ok (rc, _out) = rc.errors = [] && rc.calls <> [] && linearizable rc
+let lin_ok ((rc : World.recorder), _out) =
+  rc.errors = [] && rc.calls <> [] && World.linearizable rc
 
 let vc_lin_quiet =
   Vc.prop ~id:"nd/lin/quiet" ~category:cat_lin (fun () ->

@@ -160,6 +160,41 @@ let test_store_spec_rejects () =
   check Alcotest.bool "invalid key rejected" true (r = Store_spec.Rejected)
 
 (* ------------------------------------------------------------------ *)
+(* The suites' virtual-time scheduler *)
+
+module Sim = Bi_app.World.Sim
+
+let test_sim_same_wake_spawn_order () =
+  let s = Sim.make () in
+  let order = ref [] in
+  List.iter
+    (fun id ->
+      Sim.spawn s (fun () ->
+          Sim.sleep 3;
+          order := id :: !order))
+    [ 1; 2; 3 ];
+  let final = Sim.run ~tick:ignore s in
+  check Alcotest.(list int) "spawn order" [ 1; 2; 3 ] (List.rev !order);
+  check Alcotest.int "woke at 3" 3 final
+
+let test_sim_sleep_zero_advances () =
+  let s = Sim.make () in
+  let ticks = ref 0 and times = ref [] in
+  Sim.spawn s (fun () ->
+      let t0 = Sim.now s in
+      Sim.sleep 0;
+      times := [ t0; Sim.now s ]);
+  ignore (Sim.run ~tick:(fun () -> incr ticks) s);
+  check Alcotest.(list int) "one round later" [ 0; 1 ] !times;
+  check Alcotest.int "one tick" 1 !ticks
+
+let test_sim_round_bound () =
+  let s = Sim.make () in
+  Sim.spawn s (fun () -> Sim.sleep 10);
+  Alcotest.check_raises "bound" (Failure "sim: round bound exceeded")
+    (fun () -> ignore (Sim.run ~max_rounds:5 ~tick:ignore s))
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end behaviour *)
 
 let test_e2e_basic_ops () =
@@ -818,6 +853,14 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_store_spec_basics;
           Alcotest.test_case "rejects" `Quick test_store_spec_rejects;
+        ] );
+      ( "world sim",
+        [
+          Alcotest.test_case "same wake time, spawn order" `Quick
+            test_sim_same_wake_spawn_order;
+          Alcotest.test_case "sleep 0 advances a round" `Quick
+            test_sim_sleep_zero_advances;
+          Alcotest.test_case "round bound" `Quick test_sim_round_bound;
         ] );
       ( "end-to-end",
         [

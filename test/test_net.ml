@@ -44,6 +44,37 @@ let test_pkt_rw_roundtrip () =
   check Alcotest.int32 "u32" 0xDEADBEEFl (Pkt.R.u32 r);
   check Alcotest.string "rest" "xyz" (Bytes.to_string (Pkt.R.rest r))
 
+(* Copy accounting is domain-local: a domain copying payloads in a loop
+   must not leak into the counts another domain resets and reads. *)
+let test_pkt_copy_stats_domain_local () =
+  let stop = Atomic.make false and started = Atomic.make false in
+  let noise =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let w = Pkt.W.create () in
+          Pkt.W.string w "noise";
+          ignore (Pkt.W.contents w);
+          Atomic.set started true
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let exact = ref true in
+  for _ = 1 to 200 do
+    Pkt.reset_copy_stats ();
+    let w = Pkt.W.create () in
+    Pkt.W.u16 w 7;
+    Pkt.W.string w "payload";
+    let frame = Pkt.W.contents w in
+    exact :=
+      !exact && Pkt.copies () = 2
+      && Pkt.copied_bytes () = String.length "payload" + Bytes.length frame
+  done;
+  Atomic.set stop true;
+  Domain.join noise;
+  check Alcotest.bool "counts exact under a copying neighbour" true !exact
+
 let test_pkt_truncation () =
   let r = Pkt.R.of_bytes (Bytes.make 1 'x') in
   ignore (Pkt.R.u8 r);
@@ -352,6 +383,8 @@ let () =
         [
           Alcotest.test_case "rw roundtrip" `Quick test_pkt_rw_roundtrip;
           Alcotest.test_case "truncation" `Quick test_pkt_truncation;
+          Alcotest.test_case "copy stats domain-local" `Quick
+            test_pkt_copy_stats_domain_local;
           Alcotest.test_case "checksum vector" `Quick test_checksum_rfc1071_example;
           Alcotest.test_case "checksum odd length" `Quick test_checksum_odd_length;
           prop_checksum_self_verifies;
