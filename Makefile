@@ -3,7 +3,7 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl bench-nd bench-cr discharge mc fi rs sh hp wl nd cr clean
+.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl bench-nd bench-cr hostbench hostbench-selftest discharge mc fi rs sh hp wl nd cr clean
 
 all: build
 
@@ -94,6 +94,20 @@ bench-nd:
 # BENCH_pr10.json.
 bench-cr:
 	dune exec bench/main.exe -- recovery --json BENCH_pr10.json
+
+# The end-to-end host-time benchmark (see hostbench/README.md): one
+# workload, one seed; TRACE=1 prints the per-layer metrics instead.
+W ?= write
+SEED ?= 1
+TRACE ?= 0
+
+hostbench:
+	python3 hostbench/run.py --workload $(W) --seed $(SEED) --trace $(TRACE)
+
+# The benchmark's own tests: determinism, the capacity ceiling surfacing
+# as failed calls, and output checks catching a planted wrong answer.
+hostbench-selftest:
+	python3 hostbench/run.py --selftest
 
 discharge:
 	dune exec bench/main.exe -- discharge

@@ -8,38 +8,36 @@ let crc_path key = "/blocks/" ^ key ^ ".crc"
 
 let io_err e = P.Io (Format.asprintf "%a" Bi_kernel.Sysabi.pp_err e)
 
+let chunk = 8192
+
+(* A file [read] is short only at end of file (Sys_spec's read_spec), so
+   the first chunk shorter than requested ends the file: no extra read
+   just to receive [""]. *)
 let read_file s path =
   match U.openf s path with
   | Error e -> Error e
   | Ok fd ->
       let rec drain acc =
-        match U.read s ~fd ~len:8192 with
-        | Ok "" -> Ok (String.concat "" (List.rev acc))
-        | Ok chunk -> drain (chunk :: acc)
+        match U.read s ~fd ~len:chunk with
+        | Ok data when String.length data < chunk ->
+            Ok (String.concat "" (List.rev (data :: acc)))
+        | Ok data -> drain (data :: acc)
         | Error e -> Error e
       in
       let result = drain [] in
       ignore (U.close s fd);
       result
 
+(* Rewrite in place: the truncating open keeps the file's inode and
+   directory entry, so the namespace — and the fs name cache — is left
+   alone. *)
 let write_file s path data =
-  match U.openf s ~create:true path with
+  match U.openf s ~create:true ~trunc:true path with
   | Error e -> Error e
-  | Ok fd -> (
-      (* The syscall ABI has no truncate, so replace the contents by
-         unlinking and recreating the file: the first open (creating it
-         if absent) makes the unlink succeed, then a fresh file receives
-         [data], leaving no tail of a longer old value behind. *)
+  | Ok fd ->
+      let r = U.write s ~fd data in
       ignore (U.close s fd);
-      match U.unlink s path with
-      | Error e -> Error e
-      | Ok () -> (
-          match U.openf s ~create:true path with
-          | Error e -> Error e
-          | Ok fd ->
-              let r = U.write s ~fd data in
-              ignore (U.close s fd);
-              (match r with Ok _ -> Ok () | Error e -> Error e)))
+      Result.map ignore r
 
 (* The node's backing store, through the syscall interface: blocks as
    files, checksums in sidecars — every access crosses the marshalled ABI

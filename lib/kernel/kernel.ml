@@ -370,7 +370,7 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       | Ok pa -> Some (Sysabi.R_i64 pa)
       | Error e -> err e)
   (* filesystem *)
-  | Sysabi.Open { path; create } -> (
+  | Sysabi.Open { path; create; trunc } -> (
       let resolved =
         match Fs.resolve t.fs path with
         | Ok ino -> Ok ino
@@ -379,6 +379,12 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
             | Ok () -> Fs.resolve t.fs path
             | Error e -> Error e)
         | Error e -> Error e
+      in
+      let resolved =
+        match resolved with
+        | Ok ino when trunc ->
+            Result.map (fun () -> ino) (Fs.truncate_ino t.fs ~ino 0)
+        | r -> r
       in
       match resolved with
       | Error e -> err (fs_err e)

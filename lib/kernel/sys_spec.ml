@@ -104,9 +104,9 @@ let step st ~pid req got =
           Some (Ok (set_proc st pid p', Sysabi.R_unit))
         end
         else Some (Ok (st, Sysabi.R_err Sysabi.E_inval))
-    | Sysabi.Open { path; create } -> (
+    | Sysabi.Open { path; create; trunc } -> (
         let exists = Fs_spec.lookup st.fs path <> None in
-        let opened fs' =
+        let install fs =
           let fd = p.next_fd in
           let p' =
             {
@@ -115,7 +115,18 @@ let step st ~pid req got =
               next_fd = fd + 1;
             }
           in
-          Some (Ok (set_proc { st with fs = fs' } pid p', Sysabi.R_int fd))
+          Some (Ok (set_proc { st with fs } pid p', Sysabi.R_int fd))
+        in
+        (* [trunc] cuts the opened file to length 0 — a file just created
+           included — and fails on a directory with no state change. *)
+        let opened fs =
+          if not trunc then install fs
+          else
+            match Fs_spec.step fs (Fs_spec.Truncate (path, 0)) with
+            | Some (fs', Fs_spec.Done) -> install fs'
+            | Some (_, Fs_spec.Error e) ->
+                Some (Ok (st, Sysabi.R_err (err_of_fs e)))
+            | Some _ | None -> None
         in
         match (exists, create) with
         | false, false -> (

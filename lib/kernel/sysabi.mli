@@ -44,7 +44,11 @@ type request =
   | Munmap of { va : int64 }
   | Mresolve of { va : int64 }
   (* filesystem *)
-  | Open of { path : string; create : bool }
+  | Open of { path : string; create : bool; trunc : bool }
+      (** Open [path], creating it first when absent and [create] is set.
+          With [trunc], the file is then cut to length 0 (a file just
+          created included), so the caller rewrites it in place;
+          [E_isdir] on a directory, which is left as it was. *)
   | Close of { fd : int }
   | Read of { fd : int; len : int }
   | Write of { fd : int; data : string }

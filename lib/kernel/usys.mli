@@ -30,7 +30,13 @@ val mmap : t -> bytes:int -> (int64, Sysabi.err) result
 val munmap : t -> va:int64 -> (unit, Sysabi.err) result
 val mresolve : t -> va:int64 -> (int64, Sysabi.err) result
 
-val openf : t -> ?create:bool -> string -> (int, Sysabi.err) result
+val openf :
+  t -> ?create:bool -> ?trunc:bool -> string -> (int, Sysabi.err) result
+(** [~create:true] creates a missing file; [~trunc:true] empties the file
+    once open, so [openf ~create:true ~trunc:true] → [write] → [close]
+    replaces its contents without changing the namespace.  Both default
+    to [false]. *)
+
 val close : t -> int -> (unit, Sysabi.err) result
 val read : t -> fd:int -> len:int -> (string, Sysabi.err) result
 val write : t -> fd:int -> string -> (int, Sysabi.err) result

@@ -411,6 +411,56 @@ let test_fs_store_write_stream () =
   check Alcotest.int "flushes" 804 flushes;
   check Alcotest.string "stream digest" "7f119f855ccc67d7fce1de1ec486c256" digest
 
+(* The kernel path costs the device what the direct path costs: the
+   puts and overwrites above, through [Storage_node.usys_store] in a
+   kernel process and through [Node_core.fs_store] on a fresh [mkfs] of a
+   disk of the same size, issue the same number of device I/Os and leave
+   the two disks sector-for-sector identical.  With [fs_store]'s stream
+   pinned above, this pins the syscall path's stream too. *)
+let test_usys_store_matches_fs_store () =
+  let module Nc = Bi_app.Node_core in
+  let module Disk = Bi_hw.Device.Disk in
+  let module K = Bi_kernel.Kernel in
+  let key i = Printf.sprintf "k%02d" i in
+  let value i gen =
+    String.init (40 + (23 * i) + gen) (fun j -> Char.chr (97 + ((i + j + gen) mod 26)))
+  in
+  let puts (store : Nc.store) disk =
+    let before = Disk.io_count disk in
+    for gen = 0 to 1 do
+      for i = 0 to 19 do
+        let value = value i gen in
+        match store.save (key i) { Nc.value; crc = Bi_app.Protocol.crc32 value } with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "put %s: %a" (key i) Bi_app.Protocol.pp_err e
+      done
+    done;
+    Disk.io_count disk - before
+  in
+  let k = K.create () in
+  let kdisk = (K.machine k).Bi_hw.Machine.disk in
+  let kernel_ios = ref 0 and kernel_contents = ref [] in
+  K.register_program k "store" (fun s _ ->
+      ignore (Bi_kernel.Usys.mkdir s "/blocks");
+      let store = Bi_app.Storage_node.usys_store s in
+      kernel_ios := puts store kdisk;
+      kernel_contents := Nc.mem_contents store);
+  (match K.spawn k ~prog:"store" ~arg:"" with
+  | Ok _ -> K.run k
+  | Error _ -> Alcotest.fail "spawn");
+  let disk = Disk.create ~sectors:(Disk.sectors kdisk) () in
+  let store = Nc.fs_store (Fs.mkfs (Block_dev.of_disk disk)) in
+  check Alcotest.int "device I/Os" (puts store disk) !kernel_ios;
+  let differing =
+    List.filter
+      (fun i -> not (Bytes.equal (Disk.read_sector disk i) (Disk.read_sector kdisk i)))
+      (List.init (Disk.sectors disk) Fun.id)
+  in
+  check Alcotest.(list int) "identical sectors" [] differing;
+  check
+    Alcotest.(list (pair string string))
+    "mem_contents" (Nc.mem_contents store) !kernel_contents
+
 (* ------------------------------------------------------------------ *)
 (* Random crash-recovery property over multi-op histories *)
 
@@ -479,6 +529,8 @@ let () =
           Alcotest.test_case "sparse zeros" `Quick test_fs_sparse_read_zeros;
           Alcotest.test_case "store write stream unchanged" `Quick
             test_fs_store_write_stream;
+          Alcotest.test_case "usys_store matches fs_store on the device" `Quick
+            test_usys_store_matches_fs_store;
         ] );
       ( "crash",
         [

@@ -697,6 +697,25 @@ let test_disk_crash_semantics () =
   check Alcotest.bool "zero keeps only durable" true
     (Device.Disk.read_sector c0 1 = sector '\000')
 
+(* A flush overwrites the disk's own sector buffers in place, so nothing
+   outside the disk may alias them: not an earlier crash image, not the
+   caller's write buffer, not a buffer a read returned. *)
+let test_disk_flush_in_place_isolated () =
+  let d = Device.Disk.create ~sectors:4 () in
+  let buf = sector 'a' in
+  Device.Disk.write_sector d 0 buf;
+  Device.Disk.flush d;
+  let image = Device.Disk.crash d in
+  Bytes.fill buf 0 (Bytes.length buf) 'q';
+  Bytes.fill (Device.Disk.read_sector d 0) 0 1 'r';
+  check Alcotest.bool "caller buffers do not alias the disk" true
+    (Device.Disk.read_sector d 0 = sector 'a');
+  Device.Disk.write_sector d 0 (sector 'b');
+  Device.Disk.flush d;
+  check Alcotest.bool "flushed" true (Device.Disk.read_sector d 0 = sector 'b');
+  check Alcotest.bool "earlier crash image unchanged" true
+    (Device.Disk.read_sector image 0 = sector 'a')
+
 let test_disk_write_wins_order () =
   let d = Device.Disk.create ~sectors:4 () in
   Device.Disk.write_sector d 0 (sector 'a');
@@ -868,6 +887,8 @@ let () =
           Alcotest.test_case "serial" `Quick test_serial_output;
           Alcotest.test_case "disk rw/flush" `Quick test_disk_rw_and_flush;
           Alcotest.test_case "disk crash" `Quick test_disk_crash_semantics;
+          Alcotest.test_case "disk flush in place" `Quick
+            test_disk_flush_in_place_isolated;
           Alcotest.test_case "disk write order" `Quick test_disk_write_wins_order;
           Alcotest.test_case "disk bad args" `Quick test_disk_bad_args;
           Alcotest.test_case "nic delivery/loss" `Quick test_nic_delivery_and_loss;

@@ -16,6 +16,7 @@ let qtest name count gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
 
 let err = Alcotest.testable Sysabi.pp_err ( = )
+let response = Alcotest.testable Sysabi.pp_response Sysabi.equal_response
 
 (* Run a single program to completion and return the kernel. *)
 let run_one body =
@@ -714,6 +715,79 @@ let test_sys_spec_catches_divergence () =
   | Ok _ -> Alcotest.fail "corrupted trace must be rejected"
   | Error _ -> ()
 
+(* A truncating open replaces a file's contents in place; a read after it
+   sees only what was written since.  The spec must predict exactly that:
+   a trace doctored so the read returns what the file would hold had the
+   open not truncated it — the new bytes over the old tail — is a
+   contract violation. *)
+let test_trunc_open_contract () =
+  let k = K.create () in
+  K.set_trace k true;
+  K.register_program k "app" (fun s _ ->
+      (match U.openf s ~create:true "/f" with
+      | Ok fd ->
+          ignore (U.write s ~fd "old contents");
+          ignore (U.close s fd)
+      | Error _ -> ());
+      match U.openf s ~trunc:true "/f" with
+      | Error _ -> ()
+      | Ok fd ->
+          ignore (U.write s ~fd "new");
+          ignore (U.seek s ~fd ~off:0);
+          ignore (U.read s ~fd ~len:64));
+  ignore (K.spawn k ~prog:"app" ~arg:"");
+  K.run k;
+  let trace = K.trace k in
+  check (Alcotest.list response) "old tail gone" [ Sysabi.R_data "new" ]
+    (List.filter_map
+       (function _, Sysabi.Read _, r -> Some r | _ -> None)
+       trace);
+  (match Sys_spec.check_trace ~next_pid:2 trace with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let doctored =
+    List.map
+      (fun (pid, req, resp) ->
+        match req with
+        | Sysabi.Read _ -> (pid, req, Sysabi.R_data "new contents")
+        | _ -> (pid, req, resp))
+      trace
+  in
+  match Sys_spec.check_trace ~next_pid:2 doctored with
+  | Ok _ -> Alcotest.fail "untruncated contents must be rejected"
+  | Error _ -> ()
+
+(* [trunc] on a directory is EISDIR and changes nothing; [trunc] without
+   [create] on a missing path is ENOENT.  The kernel answers so, and the
+   trace replay shows the spec predicts the same answers. *)
+let test_trunc_open_edge_cases () =
+  let k = K.create () in
+  K.set_trace k true;
+  K.register_program k "app" (fun s _ ->
+      ignore (U.mkdir s "/d");
+      (match U.openf s ~create:true "/d/x" with
+      | Ok fd -> ignore (U.close s fd)
+      | Error _ -> ());
+      ignore (U.openf s ~create:true ~trunc:true "/d");
+      ignore (U.readdir s "/d");
+      ignore (U.openf s ~trunc:true "/missing");
+      ignore (U.readdir s "/"));
+  ignore (K.spawn k ~prog:"app" ~arg:"");
+  K.run k;
+  let trace = K.trace k in
+  check (Alcotest.list response)
+    "EISDIR, directory unchanged, ENOENT, nothing created"
+    Sysabi.
+      [ R_err E_isdir; R_names [ "x" ]; R_err E_noent; R_names [ "d" ] ]
+    (List.filter_map
+       (function
+         | _, (Sysabi.Open { trunc = true; _ } | Sysabi.Readdir _), r -> Some r
+         | _ -> None)
+       trace);
+  match Sys_spec.check_trace ~next_pid:2 trace with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg
+
 (* Randomized programs: generate a random deterministic syscall script,
    run it in a fresh kernel, and replay the recorded trace against the
    contract — the strongest form of the Section 3 check. *)
@@ -727,6 +801,7 @@ let prop_random_programs_satisfy_contract =
          [
            map (fun p -> `Open p) path;
            map (fun p -> `Create p) path;
+           map (fun p -> `Trunc p) path;
            map2 (fun fd data -> `Write (fd, data)) (int_range 3 8)
              (string_size ~gen:(char_range 'a' 'z') (int_range 0 600));
            map2 (fun fd len -> `Read (fd, len)) (int_range 3 8) (int_bound 700);
@@ -751,6 +826,7 @@ let prop_random_programs_satisfy_contract =
               match step with
               | `Open p -> ignore (U.openf s p)
               | `Create p -> ignore (U.openf s ~create:true p)
+              | `Trunc p -> ignore (U.openf s ~create:true ~trunc:true p)
               | `Write (fd, data) -> ignore (U.write s ~fd data)
               | `Read (fd, len) -> ignore (U.read s ~fd ~len)
               | `Seek (fd, off) -> ignore (U.seek s ~fd ~off)
@@ -1000,6 +1076,8 @@ let () =
         [
           Alcotest.test_case "trace replay" `Quick test_sys_spec_trace_replay;
           Alcotest.test_case "divergence caught" `Quick test_sys_spec_catches_divergence;
+          Alcotest.test_case "trunc open" `Quick test_trunc_open_contract;
+          Alcotest.test_case "trunc open edge cases" `Quick test_trunc_open_edge_cases;
           prop_random_programs_satisfy_contract;
           Alcotest.test_case "fd offset DRF" `Quick test_fd_offset_drf_at_syscall_granularity;
         ] );
