@@ -79,4 +79,5 @@ let free t pa =
   if Bytes.get t.used i = '\000' then
     invalid_arg "Frame_alloc.free: double free";
   Bytes.set t.used i '\000';
-  t.free_count <- t.free_count + 1
+  t.free_count <- t.free_count + 1;
+  Phys_mem.release_frame t.mem pa

@@ -24,7 +24,9 @@ val alloc_contiguous : t -> int -> Addr.paddr
 
 val free : t -> Addr.paddr -> unit
 (** Return a frame.  Raises [Invalid_argument] on a double free or a frame
-    outside the managed range. *)
+    outside the managed range.  A freed frame reads as zeros: its
+    {!Phys_mem} backing is released (no access is counted), so a freed
+    frame holds no heap and leaks no data to its next owner. *)
 
 val is_allocated : t -> Addr.paddr -> bool
 val free_count : t -> int

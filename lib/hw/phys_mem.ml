@@ -95,12 +95,15 @@ let write_bytes t pa src =
   iter_pieces i len (fun pos f off n ->
       Bytes.blit src pos (frame_for_store t f) off n)
 
-let zero_frame t pa =
+(* Dropping the buffer is the zeroing: the frame reads as zeros again
+   until its next store. *)
+let release_frame t pa =
   if not (Addr.is_aligned pa Addr.page_size) then raise (Bad_address pa);
   let i = check t pa frame_size in
-  (* Dropping the buffer is the zeroing: the frame reads as zeros again
-     until its next store. *)
-  t.frames.(i lsr frame_shift) <- untouched;
+  t.frames.(i lsr frame_shift) <- untouched
+
+let zero_frame t pa =
+  release_frame t pa;
   t.stores <- t.stores + (frame_size / 8)
 
 let loads t = t.loads

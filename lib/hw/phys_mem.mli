@@ -44,6 +44,11 @@ val zero_frame : t -> Addr.paddr -> unit
 (** Zero the 4 KiB frame starting at the given (page-aligned) address;
     counts 512 stores whether or not the frame was backed. *)
 
+val release_frame : t -> Addr.paddr -> unit
+(** Drop the backing of the (page-aligned) frame, so it reads as zeros,
+    without counting any access: the frame allocator's bookkeeping on
+    {!Frame_alloc.free}, not a store the program performed. *)
+
 val loads : t -> int
 (** Cumulative count of word loads (feeds the cycle cost model). *)
 

@@ -18,6 +18,9 @@ type t = {
   pt : Pt_verified.t;
   mutable regions : region list;
   mutable next_va : int64;
+  mutable destroyed : bool;
+      (* [destroy] freed the root: a later walk could read page tables of
+         whichever process reuses that frame. *)
 }
 
 let create ~mem ~frames =
@@ -27,6 +30,7 @@ let create ~mem ~frames =
     pt = Pt_verified.create ~mem ~frames;
     regions = [];
     next_va = user_base;
+    destroyed = false;
   }
 
 let cr3 t = Bi_pt.Page_table.root (Pt_verified.inner t.pt)
@@ -66,7 +70,8 @@ let mmap_batched t ~base ~pages =
             Error Sysabi.E_nomem)
 
 let mmap t ~bytes =
-  if bytes <= 0 then Error Sysabi.E_inval
+  if t.destroyed then Error Sysabi.E_fault
+  else if bytes <= 0 then Error Sysabi.E_inval
   else begin
     let pages = (bytes + page_i - 1) / page_i in
     let base = t.next_va in
@@ -138,24 +143,32 @@ let protect t ~va ~perm =
       | Error _ -> Error Sysabi.E_fault)
 
 let resolve t ~va =
-  match Pt_verified.resolve t.pt ~va with
-  | Ok (pa, _) -> Ok pa
-  | Error _ -> Error Sysabi.E_fault
+  if t.destroyed then Error Sysabi.E_fault
+  else
+    match Pt_verified.resolve t.pt ~va with
+    | Ok (pa, _) -> Ok pa
+    | Error _ -> Error Sysabi.E_fault
 
 let load_u64 t ~va =
-  match Mmu.load t.mem ~cr3:(cr3 t) va with
-  | Ok v -> Ok v
-  | Error _ -> Error Sysabi.E_fault
+  if t.destroyed then Error Sysabi.E_fault
+  else
+    match Mmu.load t.mem ~cr3:(cr3 t) va with
+    | Ok v -> Ok v
+    | Error _ -> Error Sysabi.E_fault
 
 let store_u64 t ~va v =
-  match Mmu.store t.mem ~cr3:(cr3 t) va v with
-  | Ok () -> Ok ()
-  | Error _ -> Error Sysabi.E_fault
+  if t.destroyed then Error Sysabi.E_fault
+  else
+    match Mmu.store t.mem ~cr3:(cr3 t) va v with
+    | Ok () -> Ok ()
+    | Error _ -> Error Sysabi.E_fault
 
 let translate_byte t va access =
-  match Mmu.translate t.mem ~cr3:(cr3 t) access va with
-  | Ok tr -> Ok tr.Mmu.pa
-  | Error _ -> Error Sysabi.E_fault
+  if t.destroyed then Error Sysabi.E_fault
+  else
+    match Mmu.translate t.mem ~cr3:(cr3 t) access va with
+    | Ok tr -> Ok tr.Mmu.pa
+    | Error _ -> Error Sysabi.E_fault
 
 let load_bytes t ~va ~len =
   if len < 0 then Error Sysabi.E_inval
@@ -191,6 +204,13 @@ let store_bytes t ~va data =
 let mapped_bytes t =
   List.fold_left (fun acc r -> acc + (r.pages * page_i)) 0 t.regions
 
+(* Unmapping every region reclaims every table below the root
+   ([Page_table] frees a table once it empties), so the root is the last
+   frame the process holds. *)
 let destroy t =
-  List.iter (fun r -> match munmap t ~va:r.base with Ok () | Error _ -> ())
-    t.regions
+  if not t.destroyed then begin
+    List.iter (fun r -> match munmap t ~va:r.base with Ok () | Error _ -> ())
+      t.regions;
+    Frame_alloc.free t.frames (cr3 t);
+    t.destroyed <- true
+  end

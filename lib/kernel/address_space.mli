@@ -47,4 +47,8 @@ val mapped_bytes : t -> int
 (** Total bytes currently mapped (for accounting tests). *)
 
 val destroy : t -> unit
-(** Unmap everything and free all frames (process teardown). *)
+(** Unmap everything and free all frames, the page-table root included
+    (process teardown).  Idempotent.  Afterwards [mmap], [resolve] and
+    every load and store fail with [E_fault] — the freed root may
+    already be another process's — and [munmap]/[protect] find no
+    region ([E_inval]). *)

@@ -41,3 +41,8 @@ let remove_thread t ~tid =
       Queue.clear q;
       Queue.transfer keep q)
     t.queues
+
+let remove_process t ~pid =
+  Hashtbl.filter_map_inplace
+    (fun (p, _) q -> if p = pid then None else Some q)
+    t.queues

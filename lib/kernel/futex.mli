@@ -23,3 +23,7 @@ val waiters : t -> pid:int -> va:int64 -> int
 
 val remove_thread : t -> tid:int -> unit
 (** Remove a thread from any queue it is on (thread/process teardown). *)
+
+val remove_process : t -> pid:int -> unit
+(** Drop every queue of a process that has exited, so the table holds
+    only live processes' futex words. *)

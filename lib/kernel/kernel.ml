@@ -20,7 +20,7 @@ and pipe = {
   mutable wr_open : bool;
 }
 
-and pstate = Alive | Zombie of int | Reaped
+and pstate = Alive | Zombie of int (* reaping removes it from [processes] *)
 
 and process = {
   pid : int;
@@ -29,7 +29,7 @@ and process = {
   fds : (int, fd_entry) Hashtbl.t;
   mutable next_fd : int;
   mutable pstate : pstate;
-  mutable tids : int list;
+  mutable tids : int list; (* live threads only *)
 }
 
 and blocked_on =
@@ -59,10 +59,10 @@ and t = {
   stack : Stack.t;
   sched : Scheduler.t;
   futexes : Futex.t;
-  processes : (int, process) Hashtbl.t;
-  threads : (int, thread) Hashtbl.t;
+  processes : (int, process) Hashtbl.t; (* alive and zombie *)
+  threads : (int, thread) Hashtbl.t; (* live: ready, blocked or running *)
   programs : (string, sys -> string -> unit) Hashtbl.t;
-  entries : (int, sys -> unit) Hashtbl.t;
+  entries : (int, sys -> unit) Hashtbl.t; (* not yet consumed *)
   mutable next_pid : int;
   mutable next_tid : int;
   mutable next_entry : int;
@@ -119,13 +119,10 @@ let set_trace t on = t.tracing <- on
 let trace t = List.rev t.trace_log
 let serial_output t = Bi_hw.Device.Serial.output t.machine.Machine.serial
 
-let process_count t =
-  Hashtbl.fold
-    (fun _ p acc -> match p.pstate with Reaped -> acc | _ -> acc + 1)
-    t.processes 0
-
+let process_count t = Hashtbl.length t.processes
+let thread_count t = Hashtbl.length t.threads
 let get_process t pid = Hashtbl.find_opt t.processes pid
-let get_thread t tid = Hashtbl.find t.threads tid
+let get_thread t tid = Hashtbl.find_opt t.threads tid
 
 let enqueue_ready t tid = Scheduler.enqueue t.sched tid
 
@@ -192,38 +189,39 @@ and spawn ?(parent = 0) t ~prog ~arg =
       ignore (start_thread t ~pid (fun s -> f s arg) : int);
       Ok pid
 
-and finish_thread t th =
+(* A thread that finished or was killed leaves every table: the idle
+   loop's [try_unblock] and [blocked_count] walk [threads] on each tick,
+   so dead entries would make every tick cost more with each respawn. *)
+and drop_thread t th =
   th.tstate <- Finished;
-  Futex.remove_thread t.futexes ~tid:th.tid;
-  (* Wake joiners. *)
+  Hashtbl.remove t.threads th.tid;
+  Futex.remove_thread t.futexes ~tid:th.tid
+
+and wake_joiners t tid =
   Hashtbl.iter
     (fun _ other ->
       match other.tstate with
-      | Blocked (On_join waited, k) when waited = th.tid ->
+      | Blocked (On_join waited, k) when waited = tid ->
           other.tstate <- Ready (Resume (k, Sysabi.R_unit));
           enqueue_ready t other.tid
       | _ -> ())
-    t.threads;
+    t.threads
+
+and finish_thread t th =
+  drop_thread t th;
+  wake_joiners t th.tid;
   (* Last thread of the process: the process exits with code 0 unless it
      already became a zombie via Exit. *)
   match get_process t th.t_pid with
   | None -> ()
   | Some p ->
-      let alive =
-        List.exists
-          (fun tid ->
-            tid <> th.tid
-            &&
-            match (get_thread t tid).tstate with
-            | Finished -> false
-            | Ready _ | Blocked _ -> true)
-          p.tids
-      in
-      if (not alive) && p.pstate = Alive then make_zombie t p 0
+      p.tids <- List.filter (fun tid -> tid <> th.tid) p.tids;
+      if p.tids = [] && p.pstate = Alive then make_zombie t p 0
 
 and make_zombie t p code =
   p.pstate <- Zombie code;
   Address_space.destroy p.aspace;
+  Futex.remove_process t.futexes ~pid:p.pid;
   Hashtbl.iter
     (fun _ e ->
       match e with
@@ -250,7 +248,7 @@ and make_zombie t p code =
   | [] -> ()
   | (first, k) :: rest ->
       first.tstate <- Ready (Resume (k, Sysabi.R_int code));
-      p.pstate <- Reaped;
+      Hashtbl.remove t.processes p.pid;
       enqueue_ready t first.tid;
       List.iter
         (fun (th, k) ->
@@ -262,37 +260,26 @@ and kill_process t p code =
   (* Discard every thread of the process; parked continuations are
      abandoned (their stacks are reclaimed by the GC). *)
   let killed =
-    List.filter
+    List.filter_map
       (fun tid ->
-        let th = get_thread t tid in
-        let was_live =
-          match th.tstate with
-          | Finished -> false
-          | Ready _ | Blocked _ ->
-              th.tstate <- Finished;
-              true
-        in
-        Futex.remove_thread t.futexes ~tid;
-        Scheduler.remove t.sched tid;
-        was_live)
+        match get_thread t tid with
+        | None -> None
+        | Some th ->
+            (* The running thread reads [Finished]: it is dropped but has
+               no parked joiners to wake. *)
+            let was_live = th.tstate <> Finished in
+            drop_thread t th;
+            Scheduler.remove t.sched tid;
+            if was_live then Some tid else None)
       p.tids
   in
+  p.tids <- [];
   (* A killed thread never reaches [finish_thread], so its joiners must
      be woken here or they stay parked forever — the lost wakeup found by
      the blocking-syscall audit (a [Kill]/[Exit] landing on a process one
      of whose threads is being joined from outside).  Same-process
-     joiners were just set [Finished] above and no longer match. *)
-  List.iter
-    (fun tid ->
-      Hashtbl.iter
-        (fun _ other ->
-          match other.tstate with
-          | Blocked (On_join waited, k) when waited = tid ->
-              other.tstate <- Ready (Resume (k, Sysabi.R_unit));
-              enqueue_ready t other.tid
-          | _ -> ())
-        t.threads)
-    killed;
+     joiners were just dropped above and no longer match. *)
+  List.iter (wake_joiners t) killed;
   if p.pstate = Alive then make_zombie t p code
 
 (* ------------------------------------------------------------------ *)
@@ -341,9 +328,8 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
           else begin
             match child.pstate with
             | Zombie code ->
-                child.pstate <- Reaped;
+                Hashtbl.remove t.processes pid;
                 Some (Sysabi.R_int code)
-            | Reaped -> err Sysabi.E_child
             | Alive -> None (* block *)
           end)
   | Sysabi.Kill { pid; signal } -> (
@@ -495,14 +481,20 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       else err Sysabi.E_badf
   (* threads & sync *)
   | Sysabi.Thread_create { entry } -> (
+      (* An entry handle starts one thread: the closure (and whatever it
+         captured) is released here. *)
       match Hashtbl.find_opt t.entries entry with
       | None -> err Sysabi.E_inval
       | Some f ->
+          Hashtbl.remove t.entries entry;
           let tid = start_thread t ~pid:th.t_pid f in
           Some (Sysabi.R_int tid))
   | Sysabi.Thread_join { tid } -> (
       match Hashtbl.find_opt t.threads tid with
-      | None -> err Sysabi.E_srch
+      | None ->
+          (* Issued but gone: it finished or was killed. *)
+          if tid > 0 && tid < t.next_tid then Some Sysabi.R_unit
+          else err Sysabi.E_srch
       | Some other -> (
           match other.tstate with
           | Finished -> Some Sysabi.R_unit
@@ -515,12 +507,11 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       let woken = Futex.wake t.futexes ~pid:th.t_pid ~va ~count in
       List.iter
         (fun tid ->
-          let other = get_thread t tid in
-          match other.tstate with
-          | Blocked (On_futex _, k) ->
+          match get_thread t tid with
+          | Some ({ tstate = Blocked (On_futex _, k); _ } as other) ->
               other.tstate <- Ready (Resume (k, Sysabi.R_unit));
               enqueue_ready t tid
-          | Ready _ | Blocked _ | Finished -> ())
+          | Some _ | None -> ())
         woken;
       Some (Sysabi.R_int (List.length woken))
   (* network *)
@@ -541,8 +532,10 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
   | Sysabi.Tcp_listen { port } ->
       Stack.tcp_listen t.stack port;
       Some Sysabi.R_unit
-  | Sysabi.Tcp_connect { ip; port } ->
-      Some (Sysabi.R_int (Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port))
+  | Sysabi.Tcp_connect { ip; port } -> (
+      match Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port with
+      | conn -> Some (Sysabi.R_int conn)
+      | exception Invalid_argument _ -> err Sysabi.E_again (* no free port *))
   | Sysabi.Tcp_accept { port; blocking } -> (
       match Stack.tcp_accept t.stack port with
       | Some conn -> Some (Sysabi.R_int conn)
@@ -593,6 +586,13 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
   (* time *)
   | Sysabi.Sleep _ -> None (* block *)
 
+and exit_process t th req code =
+  if t.tracing then
+    t.trace_log <- (th.t_pid, req, Sysabi.R_unit) :: t.trace_log;
+  match get_process t th.t_pid with
+  | Some p -> kill_process t p code
+  | None -> ()
+
 (* Marshal the request across the boundary, handle it, marshal the
    response back; park the thread if the syscall blocks. *)
 and dispatch t th (s : sys) (req : Sysabi.request)
@@ -615,12 +615,11 @@ and dispatch t th (s : sys) (req : Sysabi.request)
   | None -> deliver (Sysabi.R_err Sysabi.E_inval)
   | Some req -> (
       match req with
-      | Sysabi.Exit code -> (
-          if t.tracing then
-            t.trace_log <- (th.t_pid, req, Sysabi.R_unit) :: t.trace_log;
-          match get_process t th.t_pid with
-          | Some p -> kill_process t p code
-          | None -> ())
+      (* [Exit] and a self-[Kill] end the caller's process: the calling
+         thread is dropped with the rest and does not return. *)
+      | Sysabi.Exit code -> exit_process t th req code
+      | Sysabi.Kill { pid; signal } when pid = th.t_pid && signal <> 0 ->
+          exit_process t th req (128 + signal)
       | _ -> (
           match handle t th s req with
           | Some resp -> deliver resp
@@ -734,18 +733,18 @@ let run_slice t =
   match Scheduler.dequeue t.sched with
   | None -> false
   | Some tid -> (
-      let th = get_thread t tid in
-      match th.tstate with
-      | Ready (Start f) ->
+      match get_thread t tid with
+      | Some ({ tstate = Ready (Start f); _ } as th) ->
           th.tstate <- Finished;
           (* replaced when it blocks/finishes *)
           f ();
           true
-      | Ready (Resume (k, resp)) ->
+      | Some ({ tstate = Ready (Resume (k, resp)); _ } as th) ->
           th.tstate <- Finished;
           Effect.Deep.continue k resp;
           true
-      | Blocked _ | Finished -> true (* stale queue entry; skip *))
+      | Some { tstate = Blocked _ | Finished; _ } | None ->
+          true (* stale queue entry; skip *))
 
 let max_idle_ticks = 100_000
 

@@ -76,7 +76,14 @@ val user_store : sys -> va:int64 -> int64 -> (unit, Sysabi.err) result
 
 val register_entry : t -> (sys -> unit) -> int
 (** Register a thread entry point; returns the handle [Thread_create]
-    takes.  The {!Usys.thread_create} wrapper does this for you. *)
+    takes.  The {!Usys.thread_create} wrapper does this for you.  A
+    handle starts one thread: [Thread_create] consumes it, releasing the
+    closure, and a second [Thread_create] with it returns [E_inval].
+
+    [Thread_join] on a tid blocks until that thread finishes or is
+    killed, then returns unit.  A tid that was issued but whose thread
+    has since finished or been killed returns unit at once (the thread is
+    no longer kept); a tid never issued returns [E_srch]. *)
 
 val connect : t -> t -> unit
 (** Wire two kernels' NICs together (a two-machine network). *)
@@ -99,4 +106,10 @@ val serial_output : t -> string
 (** Everything written via [Log]. *)
 
 val process_count : t -> int
-(** Live (non-reaped) processes. *)
+(** Live and zombie processes: reaping (a [Wait] that collects the exit
+    code) removes a process, after which [Wait] on its pid returns
+    [E_child] and [Kill] returns [E_srch]. *)
+
+val thread_count : t -> int
+(** Live threads: ready, blocked or running.  A thread that finishes or
+    is killed is dropped at once. *)

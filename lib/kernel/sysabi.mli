@@ -39,6 +39,9 @@ type request =
   | Spawn of { prog : string; arg : string }
   | Wait of int
   | Kill of { pid : int; signal : int }
+      (** [signal] 0 only probes that [pid] is alive.  Any other signal
+          kills every thread of the process (exit code 128 + signal);
+          like [Exit], a process killing itself does not return. *)
   (* memory *)
   | Mmap of { bytes : int }
   | Munmap of { va : int64 }

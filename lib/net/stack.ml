@@ -2,7 +2,12 @@ module Nic = Bi_hw.Device.Nic
 
 type conn_id = int
 
-type conn_entry = { conn : Tcp.conn; mutable accepted : bool }
+(* [awaiting_accept]: a passively opened connection that has not yet
+   reached [Established]; it joins its port's accept queue when it does. *)
+type conn_entry = { conn : Tcp.conn; mutable awaiting_accept : bool }
+
+(* (remote ip, remote port, local port) *)
+type tuple = int32 * int * int
 
 type t = {
   nic : Nic.t;
@@ -12,10 +17,18 @@ type t = {
   udp_ports : (int, (int32 * int * bytes) Queue.t) Hashtbl.t;
   tcp_listening : (int, unit) Hashtbl.t;
   tcp_conns : (conn_id, conn_entry) Hashtbl.t;
+      (* every connection ever opened: ids stay queryable after close *)
+  tcp_by_tuple : (tuple, conn_id * conn_entry) Hashtbl.t;
+      (* the newest connection on each tuple; segments route through it *)
+  tcp_accept_q : (int, (conn_id * conn_entry) Queue.t) Hashtbl.t;
+      (* per local port, established and not yet accepted, oldest first *)
   mutable next_conn : conn_id;
   mutable next_isn : int32;
   mutable next_eph : int;
 }
+
+let eph_first = 49152
+let eph_last = 65535
 
 let create ~nic ~ip =
   {
@@ -26,9 +39,11 @@ let create ~nic ~ip =
     udp_ports = Hashtbl.create 8;
     tcp_listening = Hashtbl.create 4;
     tcp_conns = Hashtbl.create 8;
+    tcp_by_tuple = Hashtbl.create 8;
+    tcp_accept_q = Hashtbl.create 4;
     next_conn = 1;
     next_isn = 1000l;
-    next_eph = 49152;
+    next_eph = eph_first;
   }
 
 let ip t = t.ip_addr
@@ -92,15 +107,25 @@ let conn_send_all t conn segs =
         (Tcp.encode_segment_iov ~src_ip:t.ip_addr ~dst_ip:rip s))
     segs
 
-let find_conn t ~rip ~rport ~lport =
-  let found = ref None in
-  Hashtbl.iter
-    (fun id entry ->
-      let crip, crport = Tcp.remote entry.conn in
-      if crip = rip && crport = rport && Tcp.local_port entry.conn = lport
-      then found := Some (id, entry))
-    t.tcp_conns;
-  !found
+let find_conn t tuple = Hashtbl.find_opt t.tcp_by_tuple tuple
+
+let tcp_find t ~rip ~rport ~lport =
+  Option.map fst (find_conn t (rip, rport, lport))
+
+let add_conn t tuple entry =
+  let id = t.next_conn in
+  t.next_conn <- id + 1;
+  Hashtbl.replace t.tcp_conns id entry;
+  Hashtbl.replace t.tcp_by_tuple tuple (id, entry);
+  id
+
+let accept_queue t port =
+  match Hashtbl.find_opt t.tcp_accept_q port with
+  | Some q -> q
+  | None ->
+      let q = Queue.create () in
+      Hashtbl.replace t.tcp_accept_q port q;
+      q
 
 let handle_tcp t ~src_ip segment_bytes =
   match
@@ -108,23 +133,28 @@ let handle_tcp t ~src_ip segment_bytes =
   with
   | None -> ()
   | Some seg -> (
-      match
-        find_conn t ~rip:src_ip ~rport:seg.Tcp.src_port ~lport:seg.Tcp.dst_port
-      with
-      | Some (_, entry) ->
-          conn_send_all t entry.conn (Tcp.handle entry.conn seg)
-      | None ->
-          if seg.Tcp.flags.Tcp.syn && (not seg.Tcp.flags.Tcp.ack)
-             && Hashtbl.mem t.tcp_listening seg.Tcp.dst_port
+      let lport = seg.Tcp.dst_port in
+      let tuple = (src_ip, seg.Tcp.src_port, lport) in
+      let fresh_syn = seg.Tcp.flags.Tcp.syn && not seg.Tcp.flags.Tcp.ack in
+      match find_conn t tuple with
+      | Some (id, entry)
+        when not (fresh_syn && Tcp.state entry.conn = Tcp.Closed) ->
+          conn_send_all t entry.conn (Tcp.handle entry.conn seg);
+          if entry.awaiting_accept && Tcp.state entry.conn = Tcp.Established
           then begin
+            entry.awaiting_accept <- false;
+            Queue.push (id, entry) (accept_queue t lport)
+          end
+      | Some _ | None ->
+          (* A SYN on a tuple that is new, or whose last connection has
+             closed (its client port wrapped around), opens a connection. *)
+          if fresh_syn && Hashtbl.mem t.tcp_listening lport then begin
             let conn, synack =
-              Tcp.accept_syn ~local_port:seg.Tcp.dst_port ~remote_ip:src_ip
+              Tcp.accept_syn ~local_port:lport ~remote_ip:src_ip
                 ~remote_port:seg.Tcp.src_port ~isn:(fresh_isn t)
                 ~peer_seq:seg.Tcp.seq
             in
-            let id = t.next_conn in
-            t.next_conn <- id + 1;
-            Hashtbl.replace t.tcp_conns id { conn; accepted = false };
+            ignore (add_conn t tuple { conn; awaiting_accept = true } : conn_id);
             conn_send_all t conn [ synack ]
           end)
 
@@ -217,34 +247,55 @@ let udp_recv t port =
 
 let tcp_listen t port = Hashtbl.replace t.tcp_listening port ()
 
-let tcp_connect t ~dst_ip ~dst_port =
-  let local_port = t.next_eph in
-  t.next_eph <- t.next_eph + 1;
-  let conn, syn =
-    Tcp.initiate ~local_port ~remote_ip:dst_ip ~remote_port:dst_port
-      ~isn:(fresh_isn t)
-  in
-  let id = t.next_conn in
-  t.next_conn <- id + 1;
-  Hashtbl.replace t.tcp_conns id { conn; accepted = true };
-  conn_send_all t conn [ syn ];
-  id
+let tuple_live t tuple =
+  match find_conn t tuple with
+  | Some (_, entry) -> Tcp.state entry.conn <> Tcp.Closed
+  | None -> false
 
+let next_eph_after port = if port = eph_last then eph_first else port + 1
+
+(* The next ephemeral port, cycling through [eph_first, eph_last], whose
+   tuple to the destination has no connection that is still open. *)
+let pick_eph t ~dst_ip ~dst_port =
+  let span = eph_last - eph_first + 1 in
+  let rec go tried port =
+    if tried = span then None
+    else if tuple_live t (dst_ip, dst_port, port) then
+      go (tried + 1) (next_eph_after port)
+    else Some port
+  in
+  go 0 t.next_eph
+
+let tcp_connect t ~dst_ip ~dst_port =
+  match pick_eph t ~dst_ip ~dst_port with
+  | None -> invalid_arg "Stack.tcp_connect: no free ephemeral port"
+  | Some local_port ->
+      t.next_eph <- next_eph_after local_port;
+      let conn, syn =
+        Tcp.initiate ~local_port ~remote_ip:dst_ip ~remote_port:dst_port
+          ~isn:(fresh_isn t)
+      in
+      let id =
+        add_conn t (dst_ip, dst_port, local_port)
+          { conn; awaiting_accept = false }
+      in
+      conn_send_all t conn [ syn ];
+      id
+
+(* Queued connections that left [Established] before being accepted can
+   never be accepted (no state leads back to it): drop them. *)
 let tcp_accept t port =
-  let found = ref None in
-  Hashtbl.iter
-    (fun id entry ->
-      if
-        !found = None && (not entry.accepted)
-        && Tcp.local_port entry.conn = port
-        && Tcp.state entry.conn = Tcp.Established
-      then found := Some (id, entry))
-    t.tcp_conns;
-  match !found with
+  match Hashtbl.find_opt t.tcp_accept_q port with
   | None -> None
-  | Some (id, entry) ->
-      entry.accepted <- true;
-      Some id
+  | Some q ->
+      let rec next () =
+        match Queue.take_opt q with
+        | None -> None
+        | Some (id, entry) ->
+            if Tcp.state entry.conn = Tcp.Established then Some id
+            else next ()
+      in
+      next ()
 
 let get_conn t id =
   match Hashtbl.find_opt t.tcp_conns id with
@@ -255,6 +306,10 @@ let tcp_send t id data = conn_send_all t (get_conn t id).conn (Tcp.send (get_con
 let tcp_recv t id = Tcp.recv (get_conn t id).conn
 let tcp_close t id = conn_send_all t (get_conn t id).conn (Tcp.close (get_conn t id).conn)
 let tcp_state t id = Tcp.state (get_conn t id).conn
+
+let tcp_conns t =
+  Hashtbl.fold (fun id e acc -> (id, e.conn) :: acc) t.tcp_conns []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let arp_cache_size t = Arp.Cache.size t.arp
 

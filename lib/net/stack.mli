@@ -40,14 +40,33 @@ type conn_id = int
 (** Exposed as [int] so connection handles can cross the syscall ABI. *)
 
 val tcp_listen : t -> int -> unit
+
 val tcp_connect : t -> dst_ip:int32 -> dst_port:int -> conn_id
+(** Active open from the next ephemeral port.  Ports cycle through
+    49152–65535, skipping any whose (destination, port) tuple still has
+    a connection that is not [Closed]; raises [Invalid_argument] when
+    every port is in use. *)
+
 val tcp_accept : t -> int -> conn_id option
-(** A connection that completed the handshake on a listening port. *)
+(** The oldest not-yet-accepted connection on a listening port, in the
+    order the handshakes completed.  A connection that leaves
+    [Established] before it is accepted (the peer closed first) is
+    skipped: it is never returned. *)
 
 val tcp_send : t -> conn_id -> bytes -> unit
 val tcp_recv : t -> conn_id -> bytes
 val tcp_close : t -> conn_id -> unit
+
 val tcp_state : t -> conn_id -> Tcp.state
+(** Every id ever returned stays queryable, closed connections included. *)
+
+val tcp_find : t -> rip:int32 -> rport:int -> lport:int -> conn_id option
+(** The connection a segment from [rip:rport] to local port [lport] is
+    delivered to: the newest one opened on that tuple.  A pure SYN that
+    finds it [Closed] opens a new connection instead. *)
+
+val tcp_conns : t -> (conn_id * Tcp.conn) list
+(** Every connection this stack has opened, by ascending id. *)
 
 val arp_cache_size : t -> int
 

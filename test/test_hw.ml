@@ -265,6 +265,25 @@ let test_alloc_zeroed () =
   let f2 = Frame_alloc.alloc_zeroed a in
   check Alcotest.int64 "zeroed frame" 0L (Phys_mem.read_u64 m f2)
 
+let test_free_releases_backing () =
+  (* A freed frame reads as zeros (even through the non-zeroing [alloc])
+     and the release is bookkeeping, not a store the program made. *)
+  let m, a = mk_alloc () in
+  let f = Frame_alloc.alloc a in
+  Phys_mem.write_u64 m (Int64.add f 8L) 99L;
+  let loads = Phys_mem.loads m and stores = Phys_mem.stores m in
+  Frame_alloc.free a f;
+  check Alcotest.int "no store counted" stores (Phys_mem.stores m);
+  check Alcotest.int "no load counted" loads (Phys_mem.loads m);
+  check Alcotest.int64 "freed frame reads zero" 0L
+    (Phys_mem.read_u64 m (Int64.add f 8L));
+  let rec realloc () =
+    let g = Frame_alloc.alloc a in
+    if g = f then g else realloc ()
+  in
+  check Alcotest.int64 "next owner sees zeros" 0L
+    (Phys_mem.read_u64 m (Int64.add (realloc ()) 8L))
+
 let test_alloc_contiguous () =
   let _, a = mk_alloc () in
   let f = Frame_alloc.alloc_contiguous a 4 in
@@ -836,6 +855,8 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion;
           Alcotest.test_case "double free" `Quick test_alloc_double_free;
           Alcotest.test_case "zeroed" `Quick test_alloc_zeroed;
+          Alcotest.test_case "free releases backing" `Quick
+            test_free_releases_backing;
           Alcotest.test_case "contiguous" `Quick test_alloc_contiguous;
           prop_alloc_unique;
         ] );

@@ -438,15 +438,35 @@ let test_futex_fault_on_unmapped () =
 
 let test_thread_join_finished_and_absent () =
   ignore
-    (run_one (fun _ s ->
+    (run_one (fun k s ->
+         let live = K.thread_count k in
          let tid = U.thread_create s (fun s2 -> U.yield s2) in
          U.sleep s 3;
-         (* The thread is long finished: join completes immediately. *)
+         (* The thread is long finished, and no longer kept: join
+            completes immediately. *)
+         check Alcotest.int "finished thread dropped" live (K.thread_count k);
          check (Alcotest.result Alcotest.unit err) "join finished thread"
            (Ok ()) (U.thread_join s tid);
-         check (Alcotest.result Alcotest.unit err) "join unknown tid"
-           (Error Sysabi.E_srch)
-           (U.thread_join s 9_999)))
+         (* So does a join on a thread of a killed process. *)
+         let victim_tid = ref 0 in
+         K.register_program k "victim" (fun vs _ ->
+             victim_tid := U.thread_create vs (fun ws -> U.sleep ws 10_000);
+             U.sleep vs 10_000);
+         (match U.spawn s ~prog:"victim" ~arg:"" with
+         | Error _ -> Alcotest.fail "spawn"
+         | Ok pid ->
+             U.sleep s 2;
+             ignore (U.kill s ~pid ~signal:9);
+             ignore (U.wait s pid));
+         check Alcotest.int "killed threads dropped" live (K.thread_count k);
+         check (Alcotest.result Alcotest.unit err) "join killed thread"
+           (Ok ()) (U.thread_join s !victim_tid);
+         List.iter
+           (fun never_issued ->
+             check (Alcotest.result Alcotest.unit err) "join unknown tid"
+               (Error Sysabi.E_srch)
+               (U.thread_join s never_issued))
+           [ 9_999; 0; -3 ]))
 
 let test_kill_wakes_cross_process_joiner () =
   (* Regression (blocking-syscall audit): a thread parked in
@@ -1010,6 +1030,153 @@ let test_yield_fairness () =
     (got = "ababab" || got = "bababa")
 
 (* ------------------------------------------------------------------ *)
+(* Reclamation: a dead thread or process leaves no kernel state behind *)
+
+let unit_result = Alcotest.result Alcotest.unit err
+
+let test_wait_kill_on_reaped_pid () =
+  ignore
+    (run_one (fun k s ->
+         K.register_program k "child" (fun cs _ -> U.sleep cs 2);
+         match U.spawn s ~prog:"child" ~arg:"" with
+         | Error _ -> Alcotest.fail "spawn"
+         | Ok pid ->
+             check Alcotest.int "parent + child" 2 (K.process_count k);
+             check (Alcotest.result Alcotest.int err) "reap" (Ok 0)
+               (U.wait s pid);
+             check Alcotest.int "reaped child removed" 1 (K.process_count k);
+             check (Alcotest.result Alcotest.int err) "wait reaped"
+               (Error Sysabi.E_child) (U.wait s pid);
+             check unit_result "kill reaped" (Error Sysabi.E_srch)
+               (U.kill s ~pid ~signal:9);
+             check unit_result "probe reaped" (Error Sysabi.E_srch)
+               (U.kill s ~pid ~signal:0)))
+
+let test_entry_handle_consumed () =
+  ignore
+    (run_one (fun k s ->
+         let ran = ref 0 in
+         let entry = K.register_entry k (fun _ -> incr ran) in
+         let create () = K.syscall s (Sysabi.Thread_create { entry }) in
+         (match create () with
+         | Sysabi.R_int tid -> ignore (U.thread_join s tid)
+         | r -> Alcotest.failf "first create: %a" Sysabi.pp_response r);
+         check response "reused handle" (Sysabi.R_err Sysabi.E_inval)
+           (create ());
+         check Alcotest.int "entry ran once" 1 !ran))
+
+let test_spawn_kill_wait_cycles_reclaim () =
+  (* Each child maps a batched region and a single page, so teardown
+     exercises both unmap paths, the page-table reclamation and the
+     root frame. *)
+  let k = K.create () in
+  let frames = (K.machine k).Bi_hw.Machine.frames in
+  K.register_program k "child" (fun s _ ->
+      List.iter
+        (fun bytes ->
+          match U.mmap s ~bytes with
+          | Ok va -> ignore (U.store s ~va 7L)
+          | Error _ -> Alcotest.fail "child mmap")
+        [ 3 * 4096; 4096 ];
+      ignore (U.thread_create s (fun ws -> U.sleep ws 10_000));
+      U.sleep s 10_000);
+  let before = ref None and after = ref None in
+  let snapshot () =
+    (Bi_hw.Frame_alloc.free_count frames, K.process_count k, K.thread_count k)
+  in
+  K.register_program k "main" (fun s _ ->
+      before := Some (snapshot ());
+      for _ = 1 to 500 do
+        match U.spawn s ~prog:"child" ~arg:"" with
+        | Error _ -> Alcotest.fail "spawn"
+        | Ok pid ->
+            U.sleep s 1;
+            ignore (U.kill s ~pid ~signal:9);
+            if U.wait s pid <> Ok 137 then Alcotest.fail "wait"
+      done;
+      after := Some (snapshot ()));
+  ignore (K.spawn k ~prog:"main" ~arg:"");
+  K.run k;
+  let triple = Alcotest.(option (triple int int int)) in
+  check triple "free frames, processes, threads back to the start" !before
+    !after
+
+let test_self_kill_isolation () =
+  (* A kills itself: the call does not return and A's other thread never
+     resumes.  B then maps and writes the same virtual address.  Memory
+     is sized so that B's frames are exactly the ones A freed — B's root
+     is A's old root — so a handle A kept would walk B's page table
+     unless a destroyed address space refuses every access. *)
+  let k = K.create ~mem_bytes:((64 + 5) * 4096) () in
+  let a_sys = ref None and a_va = ref 0L in
+  let a_resumed = ref false and a_sibling_resumed = ref false in
+  let b_word = ref (Error Sysabi.E_inval) in
+  let a_load = ref (Ok 0L) and a_store = ref (Ok ()) in
+  K.register_program k "a" (fun s _ ->
+      match U.mmap s ~bytes:4096 with
+      | Error _ -> Alcotest.fail "a: mmap"
+      | Ok va ->
+          ignore (U.store s ~va 111L);
+          a_sys := Some s;
+          a_va := va;
+          ignore
+            (U.thread_create s (fun ts ->
+                 U.sleep ts 5;
+                 a_sibling_resumed := true));
+          ignore (U.kill s ~pid:(U.getpid s) ~signal:9);
+          a_resumed := true);
+  K.register_program k "b" (fun s _ ->
+      match U.mmap s ~bytes:4096 with
+      | Error _ -> Alcotest.fail "b: mmap"
+      | Ok va ->
+          check Alcotest.int64 "same virtual address" !a_va va;
+          ignore (U.store s ~va 222L);
+          let a = Option.get !a_sys in
+          a_load := K.user_load a ~va;
+          a_store := K.user_store a ~va 333L;
+          b_word := U.load s ~va);
+  ignore (K.spawn k ~prog:"a" ~arg:"");
+  K.run k;
+  check Alcotest.bool "self-kill does not return" false !a_resumed;
+  check Alcotest.bool "sibling killed" false !a_sibling_resumed;
+  check Alcotest.int "every frame of A freed" 5
+    (Bi_hw.Frame_alloc.free_count (K.machine k).Bi_hw.Machine.frames);
+  ignore (K.spawn k ~prog:"b" ~arg:"");
+  K.run k;
+  check (Alcotest.result Alcotest.int64 err) "A cannot read" (Error Sysabi.E_fault)
+    !a_load;
+  check unit_result "A cannot write" (Error Sysabi.E_fault) !a_store;
+  check (Alcotest.result Alcotest.int64 err) "B's word intact" (Ok 222L) !b_word
+
+let test_destroyed_address_space () =
+  let module As = Bi_kernel.Address_space in
+  let mem = Bi_hw.Phys_mem.create ~size:(2 * 1024 * 1024) in
+  let frames = Bi_hw.Frame_alloc.create ~mem ~base:0x40000L ~frames:256 in
+  let free0 = Bi_hw.Frame_alloc.free_count frames in
+  let a = As.create ~mem ~frames in
+  let va =
+    match As.mmap a ~bytes:(5 * 4096) with
+    | Ok va -> va
+    | Error _ -> Alcotest.fail "mmap"
+  in
+  ignore (As.mmap a ~bytes:4096);
+  As.destroy a;
+  check Alcotest.int "every frame back, root included" free0
+    (Bi_hw.Frame_alloc.free_count frames);
+  As.destroy a;
+  check Alcotest.int "destroy is idempotent" free0
+    (Bi_hw.Frame_alloc.free_count frames);
+  let i64 = Alcotest.result Alcotest.int64 err in
+  check i64 "load" (Error Sysabi.E_fault) (As.load_u64 a ~va);
+  check unit_result "store" (Error Sysabi.E_fault) (As.store_u64 a ~va 1L);
+  check i64 "resolve" (Error Sysabi.E_fault) (As.resolve a ~va);
+  check i64 "mmap" (Error Sysabi.E_fault) (As.mmap a ~bytes:4096);
+  check
+    (Alcotest.result Alcotest.int err)
+    "load_bytes" (Error Sysabi.E_fault)
+    (Result.map Bytes.length (As.load_bytes a ~va ~len:4))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_kernel"
@@ -1048,6 +1215,19 @@ let () =
             test_mmap_batched_and_fragmented_fallback;
           Alcotest.test_case "bad args" `Quick test_mmap_rejects_bad_args;
           Alcotest.test_case "address-space isolation" `Quick test_address_spaces_isolated;
+          Alcotest.test_case "destroyed address space" `Quick
+            test_destroyed_address_space;
+        ] );
+      ( "reclamation",
+        [
+          Alcotest.test_case "wait/kill on reaped pid" `Quick
+            test_wait_kill_on_reaped_pid;
+          Alcotest.test_case "entry handle consumed" `Quick
+            test_entry_handle_consumed;
+          Alcotest.test_case "500 spawn/kill/wait cycles" `Quick
+            test_spawn_kill_wait_cycles_reclaim;
+          Alcotest.test_case "self-kill isolation" `Quick
+            test_self_kill_isolation;
         ] );
       ( "threads",
         [

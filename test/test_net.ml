@@ -374,6 +374,217 @@ let prop_tcp_reliable_under_random_loss =
           Bytes.to_string (Stack.tcp_recv b cb) = msg)
 
 (* ------------------------------------------------------------------ *)
+(* Connection index and accept queue *)
+
+let conn_of stack id = List.assoc id (Stack.tcp_conns stack)
+
+(* Connect from [a] to [b]'s [port], then accept on [b]: the client's
+   conn id and the accepted one, if the handshake completed. *)
+let connect_accept a b ~port =
+  let ca = Stack.tcp_connect a ~dst_ip:ip_b ~dst_port:port in
+  Stack.pump [ a; b ];
+  (ca, Stack.tcp_accept b port)
+
+let test_ephemeral_ports_wrap () =
+  (* 16,400 sequential connect/close pairs from one client: the port
+     counter passes 65535 and must wrap to 49152, skipping the port a
+     connection opened first still holds. *)
+  let a, b, _, _ = host_pair () in
+  Stack.tcp_listen b 80;
+  let held, _ = connect_accept a b ~port:80 in
+  let held_port = Tcp.local_port (conn_of a held) in
+  let n = 16_400 in
+  let failures = ref [] in
+  let last = ref held in
+  for i = 1 to n do
+    match connect_accept a b ~port:80 with
+    | ca, Some cb when Stack.tcp_state a ca = Tcp.Established ->
+        last := ca;
+        Stack.tcp_close a ca;
+        Stack.pump [ a; b ];
+        Stack.tcp_close b cb;
+        Stack.pump [ a; b ];
+        (* Let TIME-WAIT expire now and then. *)
+        if i mod 200 = 0 then Stack.pump_ticks ~rounds:8 [ a; b ]
+    | _ -> failures := i :: !failures
+  done;
+  check (Alcotest.list Alcotest.int) "every connect established" []
+    (List.rev !failures);
+  check Alcotest.bool "held connection untouched" true
+    (Stack.tcp_state a held = Tcp.Established);
+  let ports =
+    List.filter_map
+      (fun (id, c) ->
+        if id = held then None
+        else Some (Tcp.local_port c))
+      (Stack.tcp_conns a)
+  in
+  check Alcotest.bool "ports stay in 49152-65535" true
+    (List.for_all (fun p -> p >= 49152 && p <= 65535) ports);
+  check Alcotest.bool "wrapped past the held port" true
+    (List.for_all (fun p -> p <> held_port) ports);
+  check Alcotest.bool "last connection reused a low port" true
+    (Tcp.local_port (conn_of a !last) < 49152 + 100)
+
+(* The lookups the stack made before the index, as scans over every
+   connection it has opened. *)
+let scan_find stack ~rip ~rport ~lport =
+  List.filter_map
+    (fun (id, c) ->
+      if Tcp.remote c = (rip, rport) && Tcp.local_port c = lport then Some id
+      else None)
+    (Stack.tcp_conns stack)
+
+let scan_accept_candidates stack ~accepted port =
+  List.filter_map
+    (fun (id, c) ->
+      if
+        (not (List.mem id accepted))
+        && Tcp.local_port c = port
+        && Tcp.state c = Tcp.Established
+      then Some id
+      else None)
+    (Stack.tcp_conns stack)
+
+let test_index_parity_with_scan () =
+  let a, b, _, _ = host_pair () in
+  List.iter (Stack.tcp_listen b) [ 80; 81 ];
+  let accepted = ref [] (* server ids, newest first *) in
+  let client = ref [] (* (client id, server port), newest first *) in
+  (* Every tuple either stack knows, plus some it does not, routes to
+     exactly the connection the scan finds. *)
+  let check_routing () =
+    let probe stack (rip, rport, lport) =
+      let expected =
+        match scan_find stack ~rip ~rport ~lport with
+        | [] -> None
+        | [ id ] -> Some id
+        | ids ->
+            Alcotest.failf "scan: %d connections share a tuple"
+              (List.length ids)
+      in
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "route %d->%d" rport lport)
+        expected
+        (Stack.tcp_find stack ~rip ~rport ~lport)
+    in
+    List.iter
+      (fun (stack, peer_ip) ->
+        List.iter
+          (fun (_, c) ->
+            let rip, rport = Tcp.remote c in
+            probe stack (rip, rport, Tcp.local_port c);
+            probe stack (rip, rport + 1, Tcp.local_port c);
+            probe stack (peer_ip, rport, Tcp.local_port c + 7))
+          (Stack.tcp_conns stack))
+      [ (a, ip_b); (b, ip_a) ]
+  in
+  let handshake_order = ref [] (* server ids, newest first *) in
+  let note_established () =
+    List.iter
+      (fun (id, c) ->
+        if Tcp.state c = Tcp.Established && not (List.mem id !handshake_order)
+        then handshake_order := id :: !handshake_order)
+      (Stack.tcp_conns b)
+  in
+  (* One at a time, so the order handshakes complete in is observable. *)
+  let connect port =
+    let ca = Stack.tcp_connect a ~dst_ip:ip_b ~dst_port:port in
+    client := (ca, port) :: !client;
+    Stack.pump [ a; b ];
+    note_established ();
+    check_routing ()
+  in
+  let accept port =
+    let candidates = scan_accept_candidates b ~accepted:!accepted port in
+    let got = Stack.tcp_accept b port in
+    (match got with
+    | None ->
+        check Alcotest.(list int) "nothing pending" [] candidates
+    | Some id ->
+        check Alcotest.bool "a connection the scan would accept" true
+          (List.mem id candidates);
+        (* [handshake_order] is newest first: everything after [id] in it
+           completed its handshake earlier. *)
+        let rec older = function
+          | [] -> []
+          | x :: rest -> if x = id then rest else older rest
+        in
+        check Alcotest.(list int) "oldest handshake first" []
+          (List.filter (fun c -> List.mem c candidates) (older !handshake_order));
+        accepted := id :: !accepted);
+    got
+  in
+  let client_close ca =
+    Stack.tcp_close a ca;
+    Stack.pump [ a; b ];
+    check_routing ()
+  in
+  (* 30 connections on :80 and 10 on :81, none accepted yet. *)
+  for i = 1 to 40 do
+    connect (if i mod 4 = 0 then 81 else 80)
+  done;
+  (* Accept a few from each port. *)
+  for _ = 1 to 6 do
+    ignore (accept 80)
+  done;
+  for _ = 1 to 3 do
+    ignore (accept 81)
+  done;
+  (* Dead connections: the client closes and the server never does
+     (server close-wait, client fin-wait-2) — some accepted, some still
+     pending, which must now never be accepted. *)
+  let oldest_first = List.rev !client in
+  List.iteri
+    (fun i (ca, _) -> if i mod 3 = 0 then client_close ca)
+    oldest_first;
+  (* Fully closed connections: the server closes the accepted ones that
+     are still open, then the client, and TIME-WAIT expires. *)
+  List.iter
+    (fun sid ->
+      let _, client_port = Tcp.remote (conn_of b sid) in
+      match
+        List.find_opt
+          (fun (ca, _) -> Tcp.local_port (conn_of a ca) = client_port)
+          oldest_first
+      with
+      | Some (ca, _) when Tcp.state (conn_of a ca) = Tcp.Established ->
+          Stack.tcp_close b sid;
+          Stack.pump [ a; b ];
+          client_close ca
+      | Some _ | None -> ())
+    !accepted;
+  Stack.pump_ticks ~rounds:10 [ a; b ];
+  check_routing ();
+  (* More arrivals interleaved with accepts. *)
+  for i = 1 to 12 do
+    connect (if i mod 2 = 0 then 81 else 80);
+    if i mod 3 = 0 then ignore (accept 80)
+  done;
+  (* Drain both ports. *)
+  List.iter
+    (fun port -> while accept port <> None do () done)
+    [ 80; 81 ];
+  check_routing ();
+  let states stack st =
+    List.length
+      (List.filter (fun (_, c) -> Tcp.state c = st) (Stack.tcp_conns stack))
+  in
+  check Alcotest.bool "trace holds dead close-wait connections" true
+    (states b Tcp.Close_wait > 0);
+  check Alcotest.bool "and fin-wait-2 ones" true
+    (states a Tcp.Fin_wait_2 > 0);
+  check Alcotest.bool "and closed ones" true (states a Tcp.Closed > 0);
+  (* Every connection the scan could ever accept was accepted, once. *)
+  let sorted = List.sort compare !accepted in
+  check Alcotest.(list int) "accepted once each" (List.sort_uniq compare sorted)
+    sorted;
+  check Alcotest.(list int) "none left for the scan" []
+    (scan_accept_candidates b ~accepted:!accepted 80
+    @ scan_accept_candidates b ~accepted:!accepted 81)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_net"
@@ -418,5 +629,8 @@ let () =
           Alcotest.test_case "syn loss recovers" `Quick test_stack_syn_loss_recovers;
           Alcotest.test_case "duplicate delivery safe" `Quick test_stack_duplicate_delivery_safe;
           prop_tcp_reliable_under_random_loss;
+          Alcotest.test_case "ephemeral ports wrap" `Quick test_ephemeral_ports_wrap;
+          Alcotest.test_case "index and accept queue match the scan" `Quick
+            test_index_parity_with_scan;
         ] );
     ]
