@@ -1332,7 +1332,7 @@ let run_recovery_bench () =
       let j =
         if journal then
           Some
-            (Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
+            (Bi_app.Journal.create (Bi_app.Journal.fs_sink fs))
         else None
       in
       let core =
@@ -1371,7 +1371,7 @@ let run_recovery_bench () =
     let disk = Bi_hw.Device.Disk.create ~sectors:16384 () in
     let bd = Bi_fs.Block_dev.of_disk disk in
     let fs = Bi_fs.Fs.mkfs bd in
-    let j = Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal") in
+    let j = Bi_app.Journal.create (Bi_app.Journal.fs_sink fs) in
     let core =
       Bi_app.Node_core.create ~journal:j ~journal_checkpoint:max_int
         (Bi_app.Node_core.fs_store fs)
@@ -1393,7 +1393,7 @@ let run_recovery_bench () =
     (* Restart: a fresh core over the same (durable) filesystem. *)
     let recovered =
       Bi_app.Node_core.create
-        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
+        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs))
         (Bi_app.Node_core.fs_store fs)
     in
     let io0 = Bi_fs.Block_dev.io_count bd in
@@ -1407,7 +1407,7 @@ let run_recovery_bench () =
     | Error _ -> ());
     let after =
       Bi_app.Node_core.create
-        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
+        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs))
         (Bi_app.Node_core.fs_store fs)
     in
     let t1 = Unix.gettimeofday () in

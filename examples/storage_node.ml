@@ -79,8 +79,8 @@ let () =
   (* The blocks are durable: remount the server's disk and inspect. *)
   let disk = (K.machine server).Bi_hw.Machine.disk in
   let fs = Bi_fs.Fs.mount (Bi_fs.Block_dev.of_disk disk) in
-  match Bi_fs.Fs.readdir fs "/blocks" with
-  | Ok entries ->
-      Format.printf "@.after remount, /blocks holds: %s@."
-        (String.concat ", " entries)
-  | Error e -> Format.printf "remount readdir failed: %a@." Bi_fs.Fs.pp_error e
+  match (Bi_app.Node_core.fs_store fs).keys () with
+  | Ok keys ->
+      Format.printf "@.after remount, the store holds: %s@."
+        (String.concat ", " keys)
+  | Error e -> Format.printf "remount listing failed: %a@." Bi_app.Protocol.pp_err e

@@ -17,13 +17,13 @@ let del_req ?(client = 1) ~seq key =
 
 let is_done = function P.Done -> true | _ -> false
 
-(* A journaled node over a directly mounted filesystem: store under
-   [/blocks], journal at [/journal], both on the same device — exactly
-   the kernel path's layout, minus the syscall boundary. *)
+(* A journaled node over a directly mounted filesystem: {!Node_files}'
+   store and journal sink, both on the same device — exactly the kernel
+   path's layout and code, minus the syscall boundary. *)
 let make_node ?dup_capacity ?(checkpoint_bytes = 64 * 1024) ?(mutant = false)
     fs =
   let store = Node_core.fs_store fs in
-  let j = J.create (J.fs_sink fs ~path:"/journal") in
+  let j = J.create (J.fs_sink fs) in
   let core =
     Node_core.create ?dup_capacity ~journal:j ~journal_checkpoint:checkpoint_bytes
       ~mutant_journal_after_apply:mutant store

@@ -17,27 +17,12 @@
    record being appended — which was by definition not yet acknowledged.
 
    Sinks abstract where the bytes live: an in-memory buffer for the
-   simulated rs worlds, a file on a directly mounted [Bi_fs.Fs] for the
-   crash-exploration suite, and (in {!Storage_node}) the kernel syscall
-   surface for netd.  [replace] — used by checkpoints — must be atomic
-   under crash; the file sinks get that from a two-file dance whose
-   every step is a filesystem transaction:
-
-     1. write + sync the snapshot to [path.new]   (journal = path)
-     2. unlink [path]                             (journal = path.new,
-                                                   complete by step 1)
-     3. rename [path.new] -> [path]               (journal = path)
-
-   [read] settles an interrupted dance: if [path] exists, any [path.new]
-   is leftover garbage (crash before step 2) and is discarded; if only
-   [path.new] exists the dance passed its point of no return (the
-   snapshot was fully written and synced before the unlink) and the
-   rename is completed. *)
+   simulated rs worlds, or the file [/journal] through {!Node_files}
+   (directly on [Bi_fs.Fs] for the cr suite, over syscalls for netd). *)
 
 module P = Protocol
 module S = Bi_ulib.Serde
 module FP = Bi_fault.Fault_plan
-module Fs = Bi_fs.Fs
 
 (* ------------------------------------------------------------------ *)
 (* Records                                                             *)
@@ -212,7 +197,7 @@ let decode_stream buf =
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
-type sink = {
+type sink = Node_files.sink = {
   sink_read : unit -> (bytes, P.err) result;
   sink_append : bytes -> (unit, P.err) result;
   sink_replace : bytes -> (unit, P.err) result;
@@ -252,78 +237,7 @@ let mem_sink ?faults () =
   in
   (sink, buf)
 
-let fs_sink fs ~path =
-  let tmp = path ^ ".new" in
-  let io e = P.Io (Format.asprintf "journal: %a" Fs.pp_error e) in
-  let exists p =
-    match Fs.resolve fs p with Ok _ -> true | Error _ -> false
-  in
-  let read_file p =
-    match Fs.resolve fs p with
-    | Error Fs.Not_found -> Ok Bytes.empty
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.stat_ino fs ino with
-        | Error e -> Error (io e)
-        | Ok { Fs.size; _ } -> (
-            match Fs.read_ino fs ~ino ~off:0 ~len:size with
-            | Ok b -> Ok b
-            | Error e -> Error (io e)))
-  in
-  (* Settle an interrupted replace; see the module comment. *)
-  let settle () =
-    if exists path then begin
-      if exists tmp then ignore (Fs.unlink fs tmp)
-    end
-    else if exists tmp then ignore (Fs.rename fs ~src:tmp ~dst:path)
-  in
-  let ensure p =
-    match Fs.resolve fs p with
-    | Ok ino -> Ok ino
-    | Error Fs.Not_found -> (
-        match Fs.create fs p with
-        | Ok () -> Result.map_error io (Fs.resolve fs p)
-        | Error e -> Error (io e))
-    | Error e -> Error (io e)
-  in
-  {
-    sink_read = (fun () -> settle (); read_file path);
-    sink_append =
-      (fun b ->
-        settle ();
-        match ensure path with
-        | Error _ as e -> e
-        | Ok ino -> (
-            match Fs.stat_ino fs ino with
-            | Error e -> Error (io e)
-            | Ok { Fs.size; _ } -> (
-                match Fs.write_ino fs ~ino ~off:size b with
-                | Error e -> Error (io e)
-                | Ok () ->
-                    Fs.fsync fs;
-                    Ok ())));
-    sink_replace =
-      (fun b ->
-        settle ();
-        match ensure tmp with
-        | Error _ as e -> e
-        | Ok ino -> (
-            match Fs.truncate_ino fs ~ino 0 with
-            | Error e -> Error (io e)
-            | Ok () -> (
-                match Fs.write_ino fs ~ino ~off:0 b with
-                | Error e -> Error (io e)
-                | Ok () -> (
-                    Fs.fsync fs;
-                    (match Fs.unlink fs path with
-                    | Ok () | Error Fs.Not_found -> ()
-                    | Error _ -> ());
-                    match Fs.rename fs ~src:tmp ~dst:path with
-                    | Error e -> Error (io e)
-                    | Ok () ->
-                        Fs.fsync fs;
-                        Ok ()))));
-  }
+let fs_sink fs = Node_files.sink (Node_files.of_fs fs)
 
 (* ------------------------------------------------------------------ *)
 (* The journal handle                                                  *)

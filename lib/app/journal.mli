@@ -62,7 +62,7 @@ val decode_stream : bytes -> record list * bool
 
 (** {2 Sinks} *)
 
-type sink = {
+type sink = Node_files.sink = {
   sink_read : unit -> (bytes, Protocol.err) result;
       (** Whole journal; [Ok empty] when absent. *)
   sink_append : bytes -> (unit, Protocol.err) result;  (** Durable append. *)
@@ -77,12 +77,9 @@ val mem_sink : ?faults:Bi_fault.Fault_plan.t -> unit -> sink * bytes ref
     (read/append/replace, in call order); non-[Pass] fails it with
     [Err (Io _)]. *)
 
-val fs_sink : Bi_fs.Fs.t -> path:string -> sink
-(** The journal as a file on a directly mounted filesystem.  Appends are
-    write + sync; [sink_replace] uses a two-file dance ([path.new] then
-    unlink + rename) whose interruption at any filesystem-transaction
-    boundary is settled by the next [sink_read] — the cr suite
-    crash-explores both. *)
+val fs_sink : Bi_fs.Fs.t -> sink
+(** {!Node_files.sink} on a directly mounted filesystem — the code netd
+    runs over syscalls, and the one the cr suite crash-explores. *)
 
 (** {2 The journal handle} *)
 

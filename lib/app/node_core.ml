@@ -1,9 +1,8 @@
 module P = Protocol
-module Fs = Bi_fs.Fs
 
-type stored = { value : string; crc : int32 }
+type stored = Node_files.stored = { value : string; crc : int32 }
 
-type store = {
+type store = Node_files.store = {
   load : string -> (stored option, P.err) result;
   save : string -> stored -> (unit, P.err) result;
   remove : string -> (bool, P.err) result;
@@ -803,81 +802,7 @@ let mem_contents s =
           | _ -> None)
         (List.sort compare ks)
 
-let fs_store fs =
-  let io e = P.Io (Format.asprintf "%a" Fs.pp_error e) in
-  let key_path key = "/blocks/" ^ key in
-  let crc_path key = "/blocks/" ^ key ^ ".crc" in
-  (match Fs.mkdir fs "/blocks" with Ok () | Error _ -> ());
-  let write_file path data =
-    let ensure () =
-      match Fs.resolve fs path with
-      | Ok ino -> Ok ino
-      | Error Fs.Not_found -> (
-          match Fs.create fs path with
-          | Ok () -> Fs.resolve fs path
-          | Error e -> Error e)
-      | Error e -> Error e
-    in
-    match ensure () with
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.truncate_ino fs ~ino 0 with
-        | Error e -> Error (io e)
-        | Ok () -> (
-            match Fs.write_ino fs ~ino ~off:0 (Bytes.of_string data) with
-            | Ok () -> Ok ()
-            | Error e -> Error (io e)))
-  in
-  let read_file path =
-    match Fs.resolve fs path with
-    | Error Fs.Not_found -> Ok None
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.stat_ino fs ino with
-        | Error e -> Error (io e)
-        | Ok { Fs.size; _ } -> (
-            match Fs.read_ino fs ~ino ~off:0 ~len:size with
-            | Ok b -> Ok (Some (Bytes.to_string b))
-            | Error e -> Error (io e)))
-  in
-  {
-    load =
-      (fun key ->
-        match read_file (key_path key) with
-        | Error e -> Error e
-        | Ok None -> Ok None
-        | Ok (Some value) -> (
-            match read_file (crc_path key) with
-            | Error e -> Error e
-            | Ok None -> Error P.No_crc
-            | Ok (Some crc_text) -> (
-                match Int32.of_string_opt ("0x" ^ String.trim crc_text) with
-                | None -> Error P.No_crc
-                | Some crc -> Ok (Some { value; crc }))));
-    save =
-      (fun key { value; crc } ->
-        match write_file (key_path key) value with
-        | Error e -> Error e
-        | Ok () -> write_file (crc_path key) (Printf.sprintf "%08lx" crc));
-    remove =
-      (fun key ->
-        match Fs.unlink fs (key_path key) with
-        | Error Fs.Not_found -> Ok false
-        | Error e -> Error (io e)
-        | Ok () ->
-            (match Fs.unlink fs (crc_path key) with Ok () | Error _ -> ());
-            Ok true);
-    keys =
-      (fun () ->
-        match Fs.readdir fs "/blocks" with
-        | Error e -> Error (io e)
-        | Ok names ->
-            Ok
-              (List.filter
-                 (fun n ->
-                   not (String.length n > 4 && Filename.check_suffix n ".crc"))
-                 names));
-  }
+let fs_store fs = Node_files.store (Node_files.of_fs fs)
 
 (* A node core fronted by a bounded fair admission queue — the overload
    policy the `wl` suite verifies.  [submit] either queues the request or

@@ -34,9 +34,9 @@
     first: a retry of an already-acknowledged mutation is answered from
     the table even on a frozen or released shard. *)
 
-type stored = { value : string; crc : int32 }
+type stored = Node_files.stored = { value : string; crc : int32 }
 
-type store = {
+type store = Node_files.store = {
   load : string -> (stored option, Protocol.err) result;
       (** [Ok None] when absent. *)
   save : string -> stored -> (unit, Protocol.err) result;
@@ -211,10 +211,11 @@ val mem_contents : store -> (string * string) list
     compare these snapshots across the degradation point. *)
 
 val fs_store : Bi_fs.Fs.t -> store
-(** Blocks under [/blocks/<key>] with the checksum in a sidecar
-    [/blocks/<key>.crc], over a directly mounted filesystem — mount one
-    on a {!Bi_fault.Faulty_disk} to exercise the read-integrity path
-    under bit rot. *)
+(** {!Node_files.store} on a directly mounted filesystem (the code netd
+    runs over syscalls) — mount one on a {!Bi_fault.Faulty_disk} to
+    exercise the read-integrity path under bit rot.  [load]: a missing
+    value file is [Ok None]; a missing or unparsable [.crc] sidecar is
+    [Error No_crc]; any other failed read of either is [Error (Io _)]. *)
 
 (** A node core fronted by a bounded fair {!Admission} queue — the
     explicit overload policy the [wl] verify suite proves things about.

@@ -95,9 +95,11 @@ let crc32_iov iov =
   Bi_net.Pkt.Iov.iter_bytes iov (fun b -> c := crc_step !c b);
   crc_finish !c
 
+(* 23 = the fs's 27-byte name limit minus the 4 of the ".crc" sidecar
+   suffix (Node_files' layout names a key's checksum [<key>.crc]). *)
 let valid_key k =
   let n = String.length k in
-  n >= 1 && n <= 24
+  n >= 1 && n <= 23
   && String.for_all
        (fun c ->
          (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' || c = '-')

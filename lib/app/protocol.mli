@@ -81,7 +81,9 @@ val crc32_iov : Bi_net.Pkt.Iov.t -> int32
     [crc32 (Bytes.to_string (Pkt.Iov.materialize iov))]. *)
 
 val valid_key : string -> bool
-(** Keys: 1–24 chars from [a-z0-9_-]. *)
+(** Keys: 1–23 chars from [a-z0-9_-].  23 is what the node's layout can
+    name: a key's checksum lives in the file [<key>.crc], and a file
+    name holds at most {!Bi_fs.Path.max_name} = 27 bytes. *)
 
 val encode_req : req -> bytes
 (** Length-framed: a varint byte count followed by the Serde body. *)

@@ -1,31 +1,22 @@
-(** The storage node's Usys-backed persistence: blocks as files under
-    [/blocks/<key>] with the CRC in a sidecar [/blocks/<key>.crc], every
-    access crossing the marshalled syscall ABI into the verified
-    filesystem.  Every GET re-verifies the checksum before answering, so
-    filesystem corruption is detected rather than served — the property
-    Amazon's S3 work checks with lightweight formal methods (paper
-    Section 1).
-
-    The sequential TCP serving loop that used to live here is retired:
-    serving is now [Bi_netd.Netd]'s job (acceptor + futex-backed queue +
-    worker pool).  Request semantics (duplicate suppression, degraded
-    mode, epochs) stay in {!Node_core}; this module is just the store. *)
+(** The storage node's persistence over the syscall interface:
+    {!Node_files}' store and journal — the code the cr suite
+    crash-explores on a directly mounted filesystem — with every access
+    crossing the marshalled syscall ABI into the verified filesystem.
+    Every GET re-verifies the checksum, so filesystem corruption is
+    detected rather than served — the property Amazon's S3 work checks
+    with lightweight formal methods (paper Section 1).  Serving is
+    [Bi_netd.Netd]'s job; request semantics stay in {!Node_core}. *)
 
 val port : int
 (** 9000 — the block-protocol port netd listens on. *)
 
 val usys_store : Bi_kernel.Usys.t -> Node_core.store
-(** The node's backing store over the syscall interface.  Operations are
-    multi-syscall (write = truncating open + write + close, once for the
-    value file and once for its crc sidecar), so callers serving
-    concurrently must serialize same-store access themselves — netd
-    holds one data-path mutex across {!Node_core.handle}. *)
+(** {!Node_files.store} over {!Node_files.of_usys}.  A save is several
+    syscalls, so concurrent callers must serialize — netd holds one
+    data-path mutex across {!Node_core.handle}. *)
 
-val usys_journal : ?path:string -> Bi_kernel.Usys.t -> Journal.sink
-(** The node's redo journal over the syscall interface (default path
-    [/journal]).  Same serialization contract as {!usys_store}: netd
-    appends under its data-path mutex, so the append fd is kept open
-    across commits (write + fsync per record).  The journal file
-    survives SIGKILL — the kernel filesystem outlives the process — so
-    a respawned daemon's {!Node_core.recover} sees every committed
-    record. *)
+val usys_journal : Bi_kernel.Usys.t -> Journal.sink
+(** {!Node_files.sink} over {!Node_files.of_usys}, under the same mutex;
+    the append fd stays open across commits.  The journal outlives a
+    SIGKILLed process, so a respawned daemon's {!Node_core.recover} sees
+    every committed record. *)

@@ -12,7 +12,7 @@
      worker pool (config.workers threads) -- Req_queue.pop
         | Node_core.handle          (dedup table, degraded mode)
         v
-     Usys filesystem (/blocks/<key> + .crc sidecar)
+     Storage_node's store and journal (Node_files' layout, over Usys)
 
    Every hop is a syscall: accept/recv/send on the TCP stack, futex
    wait/wake inside the queue's umutex/ucond, open/write/fsync in the
@@ -139,12 +139,6 @@ let worker s ~config ~stop ~queue ~store_mutex ~core ~served i =
 
 let program t s _arg =
   let config = t.config in
-  (match U.mkdir s "/blocks" with
-  | Ok () | Error Bi_kernel.Sysabi.E_exists -> ()
-  | Error e ->
-      U.log s
-        (Format.asprintf "netd: mkdir /blocks failed: %a" Bi_kernel.Sysabi.pp_err
-           e));
   let epoch = Atomic.fetch_and_add t.epochs 1 in
   let journal =
     if config.journal then Some (Journal.create (Storage_node.usys_journal s))

@@ -11,8 +11,7 @@
     connection.  Simulated service time is slept {e outside} the lock,
     so worker-scaling is observable in virtual time.
 
-    This replaces {!Bi_app.Storage_node}'s sequential serving loop;
-    persistence still goes through [Storage_node.usys_store].  A
+    Persistence is [Storage_node.usys_store] (and [usys_journal]).  A
     [Shutdown] request stops the daemon cleanly: the queue drains, every
     thread is joined, and the process exits — a respawn gets the next
     epoch (the crash-fence clients observe via [Ping]). *)

@@ -785,6 +785,82 @@ let test_recovery_migration_merge () =
   | _ -> Alcotest.fail "evicted seq 1 re-applies");
   check Alcotest.int "eviction victim re-applied" 1 (NC.applied b)
 
+(* The node's file layer over a fresh filesystem: a journaled node over
+   [fs_store] + [fs_sink], or over a sink built from [files]. *)
+let fresh_fs () =
+  Bi_fs.Fs.mkfs (Bi_fs.Block_dev.of_disk (Bi_hw.Device.Disk.create ~sectors:4096 ()))
+
+(* The longest valid key is one whose [.crc] sidecar the fs can name:
+   at 24 characters the sidecar name is over the 27-byte limit, so the
+   value file was written, the sidecar write failed with an I/O error,
+   and the node latched degraded. *)
+let test_longest_key_fits_layout () =
+  check Alcotest.bool "24 chars invalid" false (P.valid_key (String.make 24 'a'));
+  check Alcotest.bool "23 chars valid" true (P.valid_key (String.make 23 'a'));
+  let fs = fresh_fs () in
+  let node =
+    NC.create ~journal:(J.create (J.fs_sink fs)) (NC.fs_store fs)
+  in
+  ignore (NC.recover node);
+  let done_ what = function
+    | P.Done -> ()
+    | _ -> Alcotest.failf "%s: not Done" what
+  in
+  (match NC.handle node (put_txn_req ~client:1 ~seq:1 (String.make 24 'a') "v") with
+  | P.Err P.Bad_key -> ()
+  | _ -> Alcotest.fail "24-char put not refused as Bad_key");
+  let key = String.make 23 'a' in
+  done_ "23-char put" (NC.handle node (put_txn_req ~client:1 ~seq:2 key "long key"));
+  (match NC.handle node (P.Get key) with
+  | P.Value { value; _ } -> check Alcotest.string "23-char get" "long key" value
+  | _ -> Alcotest.fail "23-char get");
+  check Alcotest.bool "not degraded" false (NC.degraded node);
+  done_ "next put" (NC.handle node (put_txn_req ~client:1 ~seq:3 "b" "v"))
+
+(* A checkpoint whose rename fails after [/journal] is unlinked leaves the
+   snapshot only in [/journal.new].  The next append must settle first —
+   completing the rename — or it would start a fresh [/journal] and the
+   next read would discard the snapshot, with every dup entry in it. *)
+let test_failed_replace_keeps_snapshot () =
+  let module Nf = Bi_app.Node_files in
+  let fs = fresh_fs () in
+  let files = Nf.of_fs fs in
+  let failures = ref 1 in
+  let fake =
+    {
+      files with
+      Nf.rename =
+        (fun ~src ~dst ->
+          if !failures > 0 then begin
+            decr failures;
+            Error (P.Io "injected rename failure")
+          end
+          else files.rename ~src ~dst);
+    }
+  in
+  let a = NC.create ~journal:(J.create (Nf.sink fake)) (NC.fs_store fs) in
+  ignore (NC.recover a);
+  List.iter
+    (fun c ->
+      match NC.handle a (put_txn_req ~client:c ~seq:1 "k" "v") with
+      | P.Done -> ()
+      | _ -> Alcotest.failf "put from client %d" c)
+    [ 1; 2; 3 ];
+  check Alcotest.bool "checkpoint fails at the rename" true
+    (Result.is_error (NC.checkpoint a));
+  check Alcotest.bool "journal unlinked" false (files.exists "/journal");
+  (match NC.handle a (put_txn_req ~client:4 ~seq:1 "k" "w") with
+  | P.Done -> ()
+  | _ -> Alcotest.fail "put after the failed checkpoint");
+  let b = NC.create ~journal:(J.create (J.fs_sink fs)) (NC.fs_store fs) in
+  let r = NC.recover b in
+  check Alcotest.bool "replay starts at the snapshot" true r.NC.r_snapshot;
+  check
+    Alcotest.(list (pair int int))
+    "every dup entry survives"
+    [ (1, 1); (2, 1); (3, 1); (4, 1) ]
+    (List.map (fun ({ P.client; seq }, _) -> (client, seq)) (NC.dump_dups b))
+
 (* ------------------------------------------------------------------ *)
 (* Bounded fair admission queue *)
 
@@ -901,6 +977,10 @@ let () =
             test_journal_corrupt_fuzz;
           Alcotest.test_case "recovery merges with migration imports" `Quick
             test_recovery_migration_merge;
+          Alcotest.test_case "longest key fits the layout" `Quick
+            test_longest_key_fits_layout;
+          Alcotest.test_case "failed replace keeps the snapshot" `Quick
+            test_failed_replace_keeps_snapshot;
         ] );
       ( "admission",
         [
