@@ -3,7 +3,7 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl bench-nd bench-cr hostbench hostbench-selftest discharge mc fi rs sh hp wl nd cr clean
+.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl bench-nd bench-cr bench-pairs hostbench hostbench-selftest discharge mc fi rs sh hp wl nd cr clean
 
 all: build
 
@@ -73,7 +73,7 @@ bench-json:
 	dune exec bench/main.exe -- all --json BENCH_pr2.json
 	dune exec bench/main.exe -- wl --json BENCH_pr8.json
 	dune exec bench/main.exe -- netd --json BENCH_pr9.json
-	dune exec bench/main.exe -- recovery --json BENCH_pr10.json
+	dune exec bench/main.exe -- recovery --json BENCH_pr17.json
 
 # Hot-path numbers (plus the end-to-end shard throughput they must not
 # regress), as committed in BENCH_pr7.json.
@@ -90,10 +90,11 @@ bench-wl:
 bench-nd:
 	dune exec bench/main.exe -- netd --json BENCH_pr9.json
 
-# Journal overhead + recovery time vs journal length, as committed in
-# BENCH_pr10.json.
+# Journal overhead + recovery cost vs history length (flat: recovery
+# reads the last checkpoint and the tail after it), as committed in
+# BENCH_pr17.json.  BENCH_pr10.json holds the earlier redo journal's.
 bench-cr:
-	dune exec bench/main.exe -- recovery --json BENCH_pr10.json
+	dune exec bench/main.exe -- recovery --json BENCH_pr17.json
 
 # The end-to-end host-time benchmark (see hostbench/README.md): one
 # workload, one seed; TRACE=1 prints the per-layer metrics instead.
@@ -103,6 +104,20 @@ TRACE ?= 0
 
 hostbench:
 	python3 hostbench/run.py --workload $(W) --seed $(SEED) --trace $(TRACE)
+
+# Paired before/after runs (see scripts/bench_pairs.py): N alternating
+# pairs of the parent's and this tree's hostbench on workload W, one seed
+# per pair (SEEDS=31,32,... or N seeds from 101), with each side's
+# median, quartiles and wins.  The parent is checked out in a git
+# worktree under $(SCRATCH) (a temporary directory when unset).
+PARENT ?= HEAD~1
+N ?= 10
+SEEDS ?=
+SCRATCH ?=
+
+bench-pairs:
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(N) \
+	  $(if $(SEEDS),--seeds $(SEEDS)) $(if $(SCRATCH),--scratch $(SCRATCH))
 
 # The benchmark's own tests: determinism, the capacity ceiling surfacing
 # as failed calls, and output checks catching a planted wrong answer.

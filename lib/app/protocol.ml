@@ -63,30 +63,28 @@ let retryable = function
 
 let max_value_size = 60_000
 
-(* CRC-32 (IEEE), table-driven.  Built eagerly: a module-level [lazy]
-   forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
+(* CRC-32 (IEEE), table-driven, on native ints: the state stays below
+   2^32, so nothing is boxed per byte.  Built eagerly: a module-level
+   [lazy] forced by two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        if Int32.logand !c 1l <> 0l then
-          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-        else c := Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
 let crc_step c code =
-  let idx =
-    Int32.to_int (Int32.logand (Int32.logxor c (Int32.of_int code)) 0xFFl)
-  in
-  Int32.logxor crc_table.(idx) (Int32.shift_right_logical c 8)
-
-let crc_init = 0xFFFFFFFFl
-let crc_finish c = Int32.logxor c 0xFFFFFFFFl
+  Array.unsafe_get crc_table ((c lxor code) land 0xFF) lxor (c lsr 8)
+let crc_init = 0xFFFFFFFF
+let crc_finish c = Int32.of_int (c lxor 0xFFFFFFFF)
 
 let crc32 s =
   let c = ref crc_init in
-  String.iter (fun ch -> c := crc_step !c (Char.code ch)) s;
+  for i = 0 to String.length s - 1 do
+    c := crc_step !c (Char.code (String.unsafe_get s i))
+  done;
   crc_finish !c
 
 (* CRC folds byte-at-a-time, so it strides slice lists for free. *)
@@ -95,8 +93,7 @@ let crc32_iov iov =
   Bi_net.Pkt.Iov.iter_bytes iov (fun b -> c := crc_step !c b);
   crc_finish !c
 
-(* 23 = the fs's 27-byte name limit minus the 4 of the ".crc" sidecar
-   suffix (Node_files' layout names a key's checksum [<key>.crc]). *)
+(* 23: the limit of the former per-key-file layout, kept (see the mli). *)
 let valid_key k =
   let n = String.length k in
   n >= 1 && n <= 23

@@ -26,7 +26,7 @@ type err =
   | Bad_crc
       (** The request's own checksum did not match its value: the wire
           (not the client) corrupted the request — safe to retry. *)
-  | No_crc  (** Stored value has lost its checksum sidecar. *)
+  | No_crc  (** Stored value has no checksum (a store keeping them apart lost it). *)
   | Integrity  (** Stored data failed its checksum: corruption detected. *)
   | Read_only
       (** The node is in degraded mode after a backing-store write
@@ -81,9 +81,10 @@ val crc32_iov : Bi_net.Pkt.Iov.t -> int32
     [crc32 (Bytes.to_string (Pkt.Iov.materialize iov))]. *)
 
 val valid_key : string -> bool
-(** Keys: 1–23 chars from [a-z0-9_-].  23 is what the node's layout can
-    name: a key's checksum lives in the file [<key>.crc], and a file
-    name holds at most {!Bi_fs.Path.max_name} = 27 bytes. *)
+(** Keys: 1–23 chars from [a-z0-9_-].  23 was what a layout with a
+    [<key>.crc] file per key could name under {!Bi_fs.Path.max_name} = 27;
+    keys now live inside log records, and the bound is kept so that every
+    key a node has accepted stays valid. *)
 
 val encode_req : req -> bytes
 (** Length-framed: a varint byte count followed by the Serde body. *)

@@ -63,7 +63,7 @@ let times rep = List.map (fun r -> r.time_s) rep.results
 
 let cdf rep = Stats.cdf (times rep)
 
-let speedup rep =
+let cpu_per_wall rep =
   if rep.wall_time_s > 0. then rep.total_time_s /. rep.wall_time_s else 1.
 
 let by_category rep =
@@ -92,8 +92,8 @@ let pp_summary ppf rep =
     rep.total_time_s rep.wall_time_s
     (fun ppf ->
       if rep.jobs > 1 then
-        Format.fprintf ppf " (%d domains, %.1fx speedup)" rep.jobs
-          (speedup rep))
+        Format.fprintf ppf " (%d domains, cpu/wall %.1fx)" rep.jobs
+          (cpu_per_wall rep))
     rep.max_time_s
 
 let pp_failures ppf rep =

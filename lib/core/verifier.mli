@@ -50,16 +50,19 @@ val times : report -> float list
 val cdf : report -> (float * float) list
 (** CDF points of per-VC verification times (Figure 1a). *)
 
-val speedup : report -> float
-(** [total_time_s /. wall_time_s]: the parallel speedup actually realised
-    (~1.0 for sequential runs). *)
+val cpu_per_wall : report -> float
+(** [total_time_s /. wall_time_s]: summed per-VC time over wall time
+    (~1.0 for sequential runs).  Not a speedup: per-VC times swell when
+    domains contend, so this can exceed 1 while the parallel run is
+    slower than a sequential one.  A speedup is a sequential wall time
+    over a parallel one, both measured. *)
 
 val by_category : report -> (string * result list) list
 (** Results grouped by VC category, categories in first-seen order. *)
 
 val pp_summary : Format.formatter -> report -> unit
-(** One-paragraph summary: counts, cpu vs. wall time, speedup when
-    parallel, max time. *)
+(** One-paragraph summary: counts, cpu vs. wall time, {!cpu_per_wall}
+    when parallel (labelled [cpu/wall]), max time. *)
 
 val pp_failures : Format.formatter -> report -> unit
 (** Detailed listing of falsified and timed-out VCs. *)

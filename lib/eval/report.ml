@@ -33,17 +33,19 @@ let fig1a ppf =
     rep.Bi_core.Verifier.total_time_s rep.Bi_core.Verifier.max_time_s
     rep.Bi_core.Verifier.proved (List.length vcs);
   (* Parallel discharge: same VCs fanned out over the host's domains.  The
-     paper's SMT dispatch is parallel too; report wall vs. aggregate cpu
-     time and the realised speedup. *)
+     paper's SMT dispatch is parallel too; report the measured speedup —
+     the sequential discharge's wall time over the parallel one's — and,
+     separately, aggregate cpu over wall, which contention inflates. *)
   let jobs = Domain.recommended_domain_count () in
   if jobs > 1 then begin
     let par = Bi_core.Verifier.discharge ~jobs vcs in
     Format.fprintf ppf
       "  parallel discharge: wall %.3f s over %d domains vs %.3f s \
-       aggregate cpu — speedup %.2fx, outcomes %s@."
-      par.Bi_core.Verifier.wall_time_s jobs
-      par.Bi_core.Verifier.total_time_s
-      (Bi_core.Verifier.speedup par)
+       sequential — speedup %.2fx (cpu/wall %.2fx), outcomes %s@."
+      par.Bi_core.Verifier.wall_time_s jobs rep.Bi_core.Verifier.wall_time_s
+      (rep.Bi_core.Verifier.wall_time_s
+      /. Float.max 1e-9 par.Bi_core.Verifier.wall_time_s)
+      (Bi_core.Verifier.cpu_per_wall par)
       (if
          List.for_all2
            (fun (a : Bi_core.Verifier.result) (b : Bi_core.Verifier.result) ->

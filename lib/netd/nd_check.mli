@@ -20,5 +20,5 @@ val bench_scaling :
   ?journal:bool -> workers:int list -> unit -> (int * int * float) list
 (** [bench_scaling ~workers] runs the quiet scaling world once per pool
     size and reports [(workers, finish_ticks, acks_per_kilotick)] — the
-    bench's netd subject.  [journal] (default [true]) toggles the redo
+    bench's netd subject.  [journal] (default [true]) toggles the
     journal so the recovery bench can price its appends. *)

@@ -12,7 +12,7 @@
      worker pool (config.workers threads) -- Req_queue.pop
         | Node_core.handle          (dedup table, degraded mode)
         v
-     Storage_node's store and journal (Node_files' layout, over Usys)
+     Storage_node's store and journal (Node_files' log, over Usys)
 
    Every hop is a syscall: accept/recv/send on the TCP stack, futex
    wait/wake inside the queue's umutex/ucond, open/write/fsync in the
@@ -21,10 +21,10 @@
    the kernel contract rather than beside it.
 
    Concurrency discipline: [Node_core.handle] runs under one data-path
-   umutex.  The Usys store is multi-syscall per operation (a truncating
-   rewrite of the value file, then of its crc sidecar), so two workers
-   interleaving on one key could tear a value/crc pair; the lock
-   serializes the store while the simulated service time
+   umutex.  The Usys log is multi-syscall per operation (an append is a
+   write then an fsync, a get a seek then a read on a shared fd), and its
+   in-memory index must move with its appends; the lock serializes the
+   store while the simulated service time
    ([config.service_ticks], the knob the scaling benchmark turns) is
    slept OUTSIDE the lock, so k workers still overlap their service time
    and the worker-scaling VCs have something to measure. *)
@@ -46,8 +46,9 @@ type config = {
           lock — the contention knob of the scaling benchmark. *)
   accept_poll_ticks : int;
   journal : bool;
-      (** Commit mutations through a [/journal] redo log and recover
-          from it on (re)spawn, making the dup table crash-durable.
+      (** Commit mutations through the journal (Node_files' log) and
+          recover from it on (re)spawn, making the dup table
+          crash-durable.
           Default on; the benchmark turns it off to price the appends. *)
   mutant_strip_txn : bool;
       (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
@@ -154,8 +155,8 @@ let program t s _arg =
   if recovery.r_records > 0 then
     U.log s
       (Printf.sprintf
-         "netd: epoch %d recovered %d records (%d redone, %d dups)" epoch
-         recovery.r_records recovery.r_redone recovery.r_dup_entries);
+         "netd: epoch %d recovered %d records (%d dups)" epoch
+         recovery.r_records recovery.r_dup_entries);
   let run =
     {
       run_epoch = epoch;

@@ -25,7 +25,7 @@ type config = {
           lock — the contention knob of the scaling benchmark. *)
   accept_poll_ticks : int;
   journal : bool;
-      (** Commit mutations through a [/journal] redo log
+      (** Commit mutations through the journal
           ({!Bi_app.Storage_node.usys_journal}) and recover from it on
           (re)spawn, making the duplicate table — and with it
           exactly-once — crash-durable across SIGKILL.  Default on; the
@@ -46,7 +46,7 @@ type run = {
   run_epoch : int;
   run_core : Bi_app.Node_core.t;
   run_recovery : Bi_app.Node_core.recovery;
-      (** What this (re)spawn's journal replay found and redid. *)
+      (** What this (re)spawn's journal replay found. *)
   served : int array;  (** Requests handled, per worker. *)
   mutable queue_pushed : int;
   mutable queue_popped : int;

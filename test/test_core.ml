@@ -478,7 +478,22 @@ let test_wall_time_recorded () =
   let vcs = List.init 8 (fun i -> Vc.prop ~id:(string_of_int i) ~category:"c" (fun () -> true)) in
   let rep = Verifier.discharge ~jobs:2 vcs in
   check Alcotest.bool "wall time positive" true (rep.Verifier.wall_time_s >= 0.);
-  check Alcotest.bool "speedup finite" true (Float.is_finite (Verifier.speedup rep))
+  check Alcotest.bool "cpu/wall finite" true (Float.is_finite (Verifier.cpu_per_wall rep))
+
+(* The summary's parallel figure is summed per-VC time over wall time,
+   which contention inflates: it is labelled cpu/wall, never a speedup. *)
+let test_summary_labels_cpu_per_wall () =
+  let vcs = List.init 8 (fun i -> Vc.prop ~id:(string_of_int i) ~category:"c" (fun () -> true)) in
+  let text jobs = Format.asprintf "%a" Verifier.pp_summary (Verifier.discharge ~jobs vcs) in
+  let has sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let par = text 2 in
+  check Alcotest.bool "parallel: cpu/wall" true (has "cpu/wall" par);
+  check Alcotest.bool "parallel: no speedup claim" false (has "speedup" par);
+  check Alcotest.bool "sequential: no ratio" false (has "cpu/wall" (text 1))
 
 (* ------------------------------------------------------------------ *)
 (* Contract *)
@@ -1042,6 +1057,8 @@ let () =
             test_discharge_budget_does_not_leak;
           Alcotest.test_case "wall time recorded" `Quick
             test_wall_time_recorded;
+          Alcotest.test_case "summary labels cpu/wall" `Quick
+            test_summary_labels_cpu_per_wall;
         ] );
       ( "vc",
         [

@@ -407,20 +407,20 @@ let test_fs_store_write_stream () =
                stream)))
   in
   check Alcotest.int "gets add no device ops" before_gets (List.length stream);
-  check Alcotest.int "writes" 1968 writes;
-  check Alcotest.int "flushes" 804 flushes;
-  check Alcotest.string "stream digest" "7f119f855ccc67d7fce1de1ec486c256" digest
+  check Alcotest.int "writes" 513 writes;
+  check Alcotest.int "flushes" 208 flushes;
+  check Alcotest.string "stream digest" "98ab4d20d9cd48e5fec7835fcdbf6e2b" digest
 
 (* The kernel path costs the device what the direct path costs: the
    puts and overwrites above, through [Storage_node.usys_store] in a
-   kernel process and through [Node_core.fs_store] on a fresh [mkfs] of a
-   disk of the same size, issue the same number of device I/Os and leave
-   the two disks sector-for-sector identical.  Then the same holds for a
-   journal script through [Storage_node.usys_journal] and
-   [Journal.fs_sink] — read, 10 appends, a checkpoint replace, 5 appends,
-   read — which also reads back the same bytes.  With [fs_store]'s stream
-   pinned above and the cr suite crash-exploring [fs_sink], this pins the
-   syscall path's streams too. *)
+   kernel process and through a {!Bi_app.Node_files} log over [Fs] on a
+   fresh [mkfs] of a disk of the same size, issue the same number of
+   device I/Os and leave the two disks sector-for-sector identical.  Then
+   the same holds for a journal script through [Storage_node.usys_journal]
+   and the same [Fs] log's sink — read, 10 appends, a checkpoint replace,
+   5 appends, read — which also reads back the same bytes.  With the
+   [Fs] log's stream pinned above and the cr suite crash-exploring it,
+   this pins the syscall path's streams too. *)
 let test_usys_store_matches_fs_store () =
   let module Nc = Bi_app.Node_core in
   let module Disk = Bi_hw.Device.Disk in
@@ -441,26 +441,29 @@ let test_usys_store_matches_fs_store () =
     done;
     Disk.io_count disk - before
   in
+  let snapshot =
+    Bi_app.Journal.(
+      frame_record (Snapshot { s_dups = []; s_sharding = None; s_degraded = false }))
+  in
   let journal (sink : Bi_app.Journal.sink) disk =
     let ok what = function
       | Ok x -> x
       | Error e -> Alcotest.failf "journal %s: %a" what Bi_app.Protocol.pp_err e
     in
-    let record i = Bytes.of_string (Printf.sprintf "record %02d;" i) in
+    let record i = Bi_app.Journal.(frame_record (Map_version i)) in
     let before = Disk.io_count disk in
     let first = ok "read" (sink.sink_read ()) in
     for i = 1 to 10 do ok "append" (sink.sink_append (record i)) done;
-    ok "replace" (sink.sink_replace (Bytes.of_string "snapshot;"));
+    ok "replace" (sink.sink_replace snapshot);
     for i = 11 to 15 do ok "append" (sink.sink_append (record i)) done;
     let last = ok "read" (sink.sink_read ()) in
-    (Disk.io_count disk - before, Bytes.to_string first ^ "|" ^ Bytes.to_string last)
+    (Disk.io_count disk - before, (Bytes.to_string first, Bytes.to_string last))
   in
   let k = K.create () in
   let kdisk = (K.machine k).Bi_hw.Machine.disk in
   let kernel_ios = ref 0 and kernel_contents = ref [] in
-  let kernel_journal = ref (0, "") in
+  let kernel_journal = ref (0, ("", "")) in
   K.register_program k "store" (fun s _ ->
-      ignore (Bi_kernel.Usys.mkdir s "/blocks");
       let store = Bi_app.Storage_node.usys_store s in
       kernel_ios := puts store kdisk;
       kernel_contents := Nc.mem_contents store;
@@ -470,16 +473,19 @@ let test_usys_store_matches_fs_store () =
   | Error _ -> Alcotest.fail "spawn");
   let disk = Disk.create ~sectors:(Disk.sectors kdisk) () in
   let fs = Fs.mkfs (Block_dev.of_disk disk) in
-  let store = Nc.fs_store fs in
+  let log = Bi_app.Node_files.(log (of_fs fs)) in
+  let store = Bi_app.Node_files.store log in
   check Alcotest.int "device I/Os" (puts store disk) !kernel_ios;
   let contents = Nc.mem_contents store in
-  let journal_ios, journal_bytes = journal (Bi_app.Journal.fs_sink fs) disk in
+  let journal_ios, journal_bytes = journal (Bi_app.Node_files.sink log) disk in
   check Alcotest.int "journal device I/Os" journal_ios (fst !kernel_journal);
-  check Alcotest.string "journal bytes read" journal_bytes (snd !kernel_journal);
-  check Alcotest.string "journal ends as snapshot + appends"
-    ("|snapshot;"
-    ^ String.concat "" (List.init 5 (fun i -> Printf.sprintf "record %02d;" (i + 11))))
-    journal_bytes;
+  check Alcotest.(pair string string) "journal bytes read" journal_bytes (snd !kernel_journal);
+  let tail =
+    Bytes.to_string snapshot
+    ^ String.concat ""
+        (List.init 5 (fun i -> Bytes.to_string Bi_app.Journal.(frame_record (Map_version (i + 11)))))
+  in
+  check Alcotest.string "journal ends as snapshot + appends" tail (snd journal_bytes);
   let differing =
     List.filter
       (fun i -> not (Bytes.equal (Disk.read_sector disk i) (Disk.read_sector kdisk i)))
