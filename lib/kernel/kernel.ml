@@ -30,7 +30,10 @@ and process = {
   mutable next_fd : int;
   mutable pstate : pstate;
   mutable tids : int list; (* live threads only *)
+  mutable locals : local list; (* the program's own state; gone at exit *)
 }
+
+and local = ..
 
 and blocked_on =
   | On_pipe_read of (pipe * int) (* pipe, requested length *)
@@ -109,6 +112,16 @@ let sys_kernel s = s.kernel
 
 let register_program t name f = Hashtbl.replace t.programs name f
 
+let find_local s f =
+  match Hashtbl.find_opt s.kernel.processes s.s_pid with
+  | Some p -> List.find_map f p.locals
+  | None -> None
+
+let add_local s v =
+  match Hashtbl.find_opt s.kernel.processes s.s_pid with
+  | Some ({ pstate = Alive; _ } as p) -> p.locals <- v :: p.locals
+  | _ -> ()
+
 let register_entry t f =
   let h = t.next_entry in
   t.next_entry <- h + 1;
@@ -183,6 +196,7 @@ and spawn ?(parent = 0) t ~prog ~arg =
           next_fd = 3;
           pstate = Alive;
           tids = [];
+          locals = [];
         }
       in
       Hashtbl.replace t.processes pid p;
@@ -230,6 +244,7 @@ and make_zombie t p code =
       | File_fd _ -> ())
     p.fds;
   Hashtbl.reset p.fds;
+  p.locals <- [];
   (* Wake a parent blocked in wait(pid).  Exactly one waiter collects the
      exit code — the child is reaped at that point, so the others get
      [E_child], same as a wait issued after the reap.  (Previously every

@@ -74,6 +74,18 @@ val user_load : sys -> va:int64 -> (int64, Sysabi.err) result
 val user_store : sys -> va:int64 -> int64 -> (unit, Sysabi.err) result
 (** A user-mode store instruction. *)
 
+type local = ..
+(** State a user program keeps in its own process's memory across calls
+    (an OCaml closure cannot hold it: a program's code is shared by every
+    process that runs it).  Extend with a constructor per kind of state. *)
+
+val find_local : sys -> (local -> 'a option) -> 'a option
+(** The first of the calling process's locals that [f] maps to [Some]. *)
+
+val add_local : sys -> local -> unit
+(** Keep [v] with the calling process until it exits, when its locals are
+    dropped with its memory. *)
+
 val register_entry : t -> (sys -> unit) -> int
 (** Register a thread entry point; returns the handle [Thread_create]
     takes.  The {!Usys.thread_create} wrapper does this for you.  A
